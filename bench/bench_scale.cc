@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "algos/registry.h"
+#include "common/thread_pool.h"
 #include "data/partition.h"
 #include "data/synthetic.h"
 #include "fl/fed_data.h"
@@ -51,7 +52,10 @@ struct ScaleOptions {
 // fork boundary as raw bytes).
 struct ScaleResult {
   int clients = 0;
-  double train_seconds = 0.0;  // rounds only (personalization excluded)
+  // RunResult::train_seconds: the training stage alone. The rest of the
+  // run_federated call is the capped personalization sweep.
+  double train_seconds = 0.0;
+  double personalize_seconds = 0.0;
   double total_seconds = 0.0;  // build + rounds + capped personalization
   // Server-side phase split from RunResult::phases: where the training
   // stage's server thread time actually goes (broadcast serialize + send /
@@ -91,18 +95,18 @@ ScaleResult run_population(const ScaleOptions& options, int clients) {
   config.num_train_clients = clients;
   const auto algorithm = algos::make_algorithm(options.method, config);
 
-  const auto train_start = std::chrono::steady_clock::now();
+  const auto run_start = std::chrono::steady_clock::now();
   const fl::RunResult result = fl::run_federated(*algorithm, fed, false);
-  const auto train_end = std::chrono::steady_clock::now();
+  const auto run_end = std::chrono::steady_clock::now();
 
   ScaleResult out;
   out.clients = clients;
-  out.train_seconds =
-      std::chrono::duration<double>(train_end - train_start).count();
-  // run_federated's tail is the capped personalization sweep; fold it into
-  // total_seconds so the report stays honest about end-to-end cost.
+  out.train_seconds = result.train_seconds;
+  out.personalize_seconds =
+      std::chrono::duration<double>(run_end - run_start).count() -
+      result.train_seconds;
   out.total_seconds =
-      std::chrono::duration<double>(train_end - wall_start).count();
+      std::chrono::duration<double>(run_end - wall_start).count();
   out.dispatch_seconds = result.phases.dispatch_seconds;
   out.decode_seconds = result.phases.decode_seconds;
   out.fold_seconds = result.phases.fold_seconds;
@@ -173,10 +177,10 @@ int run(const ScaleOptions& options) {
         result.train_seconds > 0.0 ? options.rounds / result.train_seconds
                                    : 0.0;
     std::printf(
-        "[scale] K=%-7d  %.2f rounds/s  (train %.2fs, total %.2fs)  "
-        "peak RSS %.1f MB\n",
+        "[scale] K=%-7d  %.2f rounds/s  (train %.2fs, personalize %.2fs, "
+        "total %.2fs)  peak RSS %.1f MB\n",
         result.clients, rounds_per_s, result.train_seconds,
-        result.total_seconds,
+        result.personalize_seconds, result.total_seconds,
         static_cast<double>(result.peak_rss_kb) / 1024.0);
     std::printf(
         "[scale]            phases: dispatch %.3fs  decode %.3fs  "
@@ -206,6 +210,8 @@ int run(const ScaleOptions& options) {
 
   std::ofstream out(options.out);
   out << "{\n  \"generated_by\": \"bench_scale\",\n"
+      << "  \"hardware_threads\": "
+      << common::ThreadPool::default_parallelism() << ",\n"
       << "  \"method\": \"" << options.method << "\",\n"
       << "  \"rounds\": " << options.rounds << ",\n"
       << "  \"clients_per_round\": " << options.clients_per_round << ",\n"
@@ -218,14 +224,16 @@ int run(const ScaleOptions& options) {
     char buffer[512];
     std::snprintf(buffer, sizeof(buffer),
                   "    {\"clients\": %d, \"rounds_per_s\": %.3f, "
-                  "\"train_seconds\": %.3f, \"total_seconds\": %.3f, "
+                  "\"train_seconds\": %.3f, \"personalize_seconds\": %.3f, "
+                  "\"total_seconds\": %.3f, "
                   "\"dispatch_seconds\": %.3f, \"decode_seconds\": %.3f, "
                   "\"fold_seconds\": %.3f, \"commit_seconds\": %.3f, "
                   "\"peak_rss_mb\": %.1f}%s\n",
                   r.clients,
                   r.train_seconds > 0.0 ? options.rounds / r.train_seconds
                                         : 0.0,
-                  r.train_seconds, r.total_seconds, r.dispatch_seconds,
+                  r.train_seconds, r.personalize_seconds, r.total_seconds,
+                  r.dispatch_seconds,
                   r.decode_seconds, r.fold_seconds, r.commit_seconds,
                   static_cast<double>(r.peak_rss_kb) / 1024.0,
                   i + 1 < results.size() ? "," : "");

@@ -1,4 +1,4 @@
-// The federated round loop.
+// The federated round engine.
 //
 // Runner wires an Algorithm to a FedDataset through the comm layer: every
 // global model broadcast and every client update crosses a serialized
@@ -18,7 +18,8 @@
 
 namespace calibre::fl {
 
-// Per-round progress record (one entry per federated round).
+// Per-round progress record (one entry per commit: a sync round or an async
+// buffer window).
 struct RoundStats {
   int round = 0;
   int participants = 0;       // clients that delivered an update
@@ -27,7 +28,9 @@ struct RoundStats {
                               // injected faults); includes retried attempts
   int retries = 0;            // requests re-sent after a failure
   int timeouts = 0;           // clients still pending when the deadline fired
-  int late_dropped = 0;       // stale replies from earlier rounds discarded
+  int late_dropped = 0;       // stale replies from earlier rounds discarded,
+                              // plus (final entry, async) the seqs left
+                              // unresolved at the last commit and drained
   // Logical wire bytes this round, by direction (retry re-sends and replies
   // from earlier rounds that surfaced during this round are included).
   std::uint64_t bytes_broadcast = 0;  // server -> clients
@@ -60,11 +63,11 @@ struct RoundStats {
   int staleness_max = 0;
 };
 
-// Server-side wall-clock split of the training stage, summed over rounds
-// (sync) or commit windows (async). With agg_shards > 1 decode/fold run on
-// parallel shard workers, so their totals are CPU seconds that can exceed
-// the stage's elapsed time; commit covers the collect barrier + shard merge
-// + finish(). Dispatch is the serialize-and-send side of the loop.
+// Server-side wall-clock split of the training stage, summed over commit
+// windows. With agg_shards > 1 decode/fold run on parallel shard workers,
+// so their totals are CPU seconds that can exceed the stage's elapsed time;
+// commit covers the collect barrier + shard merge + finish(). Dispatch is
+// the serialize-and-send side of the engine, retry re-sends included.
 struct PhaseTimes {
   double dispatch_seconds = 0.0;
   double decode_seconds = 0.0;
@@ -76,9 +79,11 @@ struct RunResult {
   std::string algorithm;
   std::vector<double> train_accuracies;  // per participating client
   std::vector<double> novel_accuracies;  // per novel client
-  std::vector<RoundStats> history;       // one entry per round
+  std::vector<RoundStats> history;       // one entry per commit
   comm::TrafficStats traffic;
-  double wall_seconds = 0.0;
+  double wall_seconds = 0.0;             // the whole run_federated call
+  double train_seconds = 0.0;            // training stage only (its final
+                                         // drain in, personalization out)
   PhaseTimes phases;                     // training-stage server-side split
   nn::ModelState final_state;            // trained global state
 };
@@ -92,7 +97,8 @@ std::uint64_t derive_seed(std::uint64_t seed, std::uint64_t a, std::uint64_t b);
 // a finished round must not inflate `failures` — the historical bug was
 // incrementing before the pending check. Returns true when the caller
 // should re-dispatch (pending, and retry budget remains; `retries_used` and
-// stats.retries are advanced). Shared by the sync and async loops.
+// stats.retries are advanced). The round engine calls it with scratch stats
+// and credits failures and retries to the window in which the seq resolves.
 bool account_error_reply(bool client_pending, int& retries_used,
                          int max_client_retries, RoundStats& stats);
 

@@ -20,7 +20,6 @@ ShardedFolder::ShardedFolder(Algorithm& algorithm, const nn::ModelState& global,
                              int round, int shards, common::ThreadPool* pool,
                              std::size_t capacity)
     : pool_(pool),
-      submitted_(capacity, 0),
       norms_(capacity, 0.0),
       divergences_(capacity, 0.0f),
       has_div_(capacity, 0),
@@ -40,8 +39,8 @@ ShardedFolder::ShardedFolder(Algorithm& algorithm, const nn::ModelState& global,
 }
 
 ShardedFolder::~ShardedFolder() {
-  // An abandoned folder (async drain discarding a partial window) still has
-  // workers touching this object; wait them out before the members die.
+  // An abandoned folder (a window unwound mid-fold) may still have workers
+  // touching this object; wait them out before the members die.
   std::unique_lock<std::mutex> lock(idle_mu_);
   idle_cv_.wait(lock, [&] { return active_shards_ == 0; });
 }
@@ -102,11 +101,11 @@ void ShardedFolder::submit(int rank, comm::Payload payload,
                            std::shared_ptr<const nn::ModelState> base,
                            float weight_scale) {
   CALIBRE_CHECK_MSG(!collected_, "submit() after collect()");
-  CALIBRE_CHECK(rank >= 0 &&
-                static_cast<std::size_t>(rank) < submitted_.size());
-  CALIBRE_CHECK_EQ(submitted_[static_cast<std::size_t>(rank)], 0,
-                   "rank submitted twice");
-  submitted_[static_cast<std::size_t>(rank)] = 1;
+  CALIBRE_CHECK_MSG(rank > last_rank_ &&
+                        static_cast<std::size_t>(rank) < norms_.size(),
+                    "rank " << rank << " is not ascending after "
+                            << last_rank_ << " or exceeds the capacity");
+  last_rank_ = rank;
   wire_bytes_[static_cast<std::size_t>(rank)] = payload.bytes().size();
   codec_tags_[static_cast<std::size_t>(rank)] =
       static_cast<std::uint8_t>(peek_update_codec(payload.bytes()));

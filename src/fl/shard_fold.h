@@ -1,6 +1,6 @@
 // Sharded parallel fold trees for streaming aggregation.
 //
-// The runner's reorder buffer releases replies in selection-rank order, but
+// The round engine's fold front releases replies in dispatch order, but
 // decoding a reply (codec decompress + delta reconstruction) and folding it
 // are the round's serial bottleneck: both ran on the server thread. A
 // ShardedFolder splits that work across N shard aggregators: the server
@@ -48,25 +48,28 @@ namespace calibre::fl {
 class ShardedFolder {
  public:
   // Creates `shards` shard aggregators via algorithm.make_aggregator(global,
-  // round). `capacity` is the rank-index bound (sync: selected count; async:
-  // buffer size). `pool` runs the shard workers; nullptr folds inline on the
-  // caller thread. shards > 1 requires a mergeable aggregator (CHECKed).
+  // round). `capacity` is the rank bound: the most folds one commit window
+  // can take (sync: clients_per_round; async: buffer size). `pool` runs the
+  // shard workers; nullptr folds inline on the caller thread. shards > 1
+  // requires a mergeable aggregator (CHECKed).
   ShardedFolder(Algorithm& algorithm, const nn::ModelState& global, int round,
                 int shards, common::ThreadPool* pool, std::size_t capacity);
 
-  // Waits for in-flight shard work before tearing down (abandoned partial
-  // windows in the async drain path land here without collect()).
+  // Waits for in-flight shard work before tearing down (a window abandoned
+  // mid-fold, e.g. by a CHECK failure unwinding the engine, lands here
+  // without collect()).
   ~ShardedFolder();
 
   ShardedFolder(const ShardedFolder&) = delete;
   ShardedFolder& operator=(const ShardedFolder&) = delete;
 
   // Hands one released reply to shard (rank % shards). Called from ONE
-  // thread (the server loop) in ascending rank order; ranks are distinct and
-  // < capacity. `base` is the delta-codec reference for this reply's
-  // broadcast version (kept alive by the shared_ptr across the async
-  // handoff; null for self-contained codecs); `weight_scale` multiplies the
-  // decoded update's weight (async staleness discount; 1.0f in sync mode).
+  // thread (the server loop) with strictly ascending ranks < capacity (the
+  // runner submits the dense fold index within the window; CHECKed).
+  // `base` is the delta-codec reference for this reply's broadcast version
+  // (kept alive by the shared_ptr across the async handoff; null for
+  // self-contained codecs); `weight_scale` multiplies the decoded update's
+  // weight (the staleness discount; exactly 1.0f for a sync fold).
   void submit(int rank, comm::Payload payload,
               std::shared_ptr<const nn::ModelState> base, float weight_scale);
 
@@ -80,7 +83,6 @@ class ShardedFolder {
   // before that). Indexed by submit() rank; entries for never-submitted
   // ranks are zero/false. Summing in ascending rank order reproduces the
   // flat path's stats accumulation order exactly.
-  const std::vector<std::uint8_t>& submitted() const { return submitted_; }
   const std::vector<double>& norms() const { return norms_; }
   const std::vector<float>& divergences() const { return divergences_; }
   const std::vector<std::uint8_t>& has_divergence() const { return has_div_; }
@@ -123,7 +125,7 @@ class ShardedFolder {
 
   common::ThreadPool* pool_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<std::uint8_t> submitted_;
+  int last_rank_ = -1;  // highest rank submitted so far
   std::vector<double> norms_;
   std::vector<float> divergences_;
   std::vector<std::uint8_t> has_div_;

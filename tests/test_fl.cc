@@ -433,42 +433,54 @@ TEST(RunnerFaults, DeadlineCutsStragglersAndDiscardsLateReplies) {
 // a late reply is counted as late_dropped exactly once, never folded into a
 // later round, and the aggregate stays bit-identical. (threads == 1 is
 // excluded on purpose — a single worker serializes the sleeper and changes
-// which clients beat the deadline.)
+// which clients beat the deadline.) In the second mode the round-0
+// straggler throws once it has outlived the deadline: its stale kTrainError
+// lands while client 0 holds a fresh round-1 dispatch, and must count as
+// late_dropped only — with retries enabled, it must neither fail nor retry
+// (nor resolve) that round-1 dispatch.
 TEST(RunnerFaults, CrossRoundStragglerAccountingStableAcrossThreadCounts) {
   const int clients = 4;
   const FedDataset fed = toy_fed(clients);
-  for (const int threads : {3, 8}) {
-    FlConfig config = toy_config(clients);
-    config.rounds = 2;
-    config.threads = threads;
-    config.round_deadline_ms = 800;
-    config.min_participants = 3;
-    ToyAlgorithm algorithm(config, [](const ClientContext& ctx) {
-      if (ctx.round == 0 && ctx.client_id == 0) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1500));
-      }
-      if (ctx.round == 1 && ctx.client_id == 1) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(3000));
-      }
-    });
-    const RunResult result = run_federated(algorithm, fed, false);
-    ASSERT_EQ(result.history.size(), 2u);
-    EXPECT_EQ(result.history[0].participants, 3) << "threads=" << threads;
-    EXPECT_EQ(result.history[0].timeouts, 1) << "threads=" << threads;
-    EXPECT_EQ(result.history[0].late_dropped, 0) << "threads=" << threads;
-    EXPECT_EQ(result.history[0].failures, 0) << "threads=" << threads;
-    EXPECT_EQ(result.history[1].participants, 3) << "threads=" << threads;
-    EXPECT_EQ(result.history[1].timeouts, 1) << "threads=" << threads;
-    // Client 0's round-0 reply lands mid-round-1: dropped once, not folded.
-    EXPECT_EQ(result.history[1].late_dropped, 1) << "threads=" << threads;
-    EXPECT_EQ(result.history[1].failures, 0) << "threads=" << threads;
-    // Round 0 folds clients {1,2,3}: mean bump (0.5 + 0.25*2) = 1.0 → state
-    // {2, 0}. Round 1 folds {0,2,3}: mean bump 0.5 + 0.25 * (5/3) = 11/12
-    // over {2+..}: exact means below.
-    EXPECT_FLOAT_EQ(result.final_state.values()[0], 8.75f / 3.0f)
-        << "threads=" << threads;
-    EXPECT_FLOAT_EQ(result.final_state.values()[1], 2.75f / 3.0f)
-        << "threads=" << threads;
+  for (const bool straggler_throws : {false, true}) {
+    for (const int threads : {3, 8}) {
+      FlConfig config = toy_config(clients);
+      config.rounds = 2;
+      config.threads = threads;
+      config.round_deadline_ms = 800;
+      config.min_participants = 3;
+      if (straggler_throws) config.max_client_retries = 1;
+      ToyAlgorithm algorithm(config, [&](const ClientContext& ctx) {
+        if (ctx.round == 0 && ctx.client_id == 0) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1500));
+          if (straggler_throws) throw std::runtime_error("late failure");
+        }
+        if (ctx.round == 1 && ctx.client_id == 1) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(3000));
+        }
+      });
+      const RunResult result = run_federated(algorithm, fed, false);
+      const std::string mode = std::string("threads=") +
+                               std::to_string(threads) +
+                               (straggler_throws ? " throws" : " replies");
+      ASSERT_EQ(result.history.size(), 2u) << mode;
+      EXPECT_EQ(result.history[0].participants, 3) << mode;
+      EXPECT_EQ(result.history[0].timeouts, 1) << mode;
+      EXPECT_EQ(result.history[0].late_dropped, 0) << mode;
+      EXPECT_EQ(result.history[0].failures, 0) << mode;
+      EXPECT_EQ(result.history[0].retries, 0) << mode;
+      EXPECT_EQ(result.history[1].participants, 3) << mode;
+      EXPECT_EQ(result.history[1].timeouts, 1) << mode;
+      // Client 0's round-0 reply (or error) lands mid-round-1: dropped once,
+      // not folded, not retried.
+      EXPECT_EQ(result.history[1].late_dropped, 1) << mode;
+      EXPECT_EQ(result.history[1].failures, 0) << mode;
+      EXPECT_EQ(result.history[1].retries, 0) << mode;
+      // Round 0 folds clients {1,2,3}: mean bump (0.5 + 0.25*2) = 1.0 →
+      // state {2, 0}. Round 1 folds {0,2,3}: mean bump 0.5 + 0.25 * (5/3) =
+      // 11/12 over {2+..}: exact means below.
+      EXPECT_FLOAT_EQ(result.final_state.values()[0], 8.75f / 3.0f) << mode;
+      EXPECT_FLOAT_EQ(result.final_state.values()[1], 2.75f / 3.0f) << mode;
+    }
   }
 }
 
@@ -1458,6 +1470,27 @@ TEST(AsyncAggregation, StalenessDiscountsShiftTheAggregate) {
   };
   EXPECT_EQ(run(0.5f), run(0.5f));
   EXPECT_NE(run(0.0f), run(0.5f));
+}
+
+// rounds == 0 is the personalization-only mode: the engine must not open a
+// window, so no client trains (a discarded local_update could still mutate
+// per-client algorithm state that personalization reads).
+TEST(RoundEngine, ZeroRoundsDispatchesNothingInEitherMode) {
+  const int clients = 4;
+  const FedDataset fed = toy_fed(clients);
+  for (const bool async_mode : {false, true}) {
+    FlConfig config = async_mode ? async_toy_config(clients)
+                                 : toy_config(clients);
+    config.rounds = 0;
+    std::atomic<int> updates{0};
+    ToyAlgorithm algorithm(config,
+                           [&](const ClientContext&) { updates.fetch_add(1); });
+    const RunResult result = run_federated(algorithm, fed, false);
+    EXPECT_EQ(updates.load(), 0) << "async=" << async_mode;
+    EXPECT_TRUE(result.history.empty()) << "async=" << async_mode;
+    EXPECT_EQ(result.traffic.messages, 0u) << "async=" << async_mode;
+    EXPECT_EQ(result.final_state.values(), algorithm.initialize().values());
+  }
 }
 
 TEST(DeriveSeed, DeterministicAndDistinct) {

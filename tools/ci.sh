@@ -53,9 +53,9 @@ else
   # (bench_scale exits nonzero on a superlinear blow-up).
   run_step "bench.scale" ctest --test-dir "$BUILD_DIR" \
     --output-on-failure -R '^bench\.scale_smoke$'
-  # Async-aggregation gate: the buffered async loop and the sync barrier
-  # loop both run under one availability trace, and the async fold budget
-  # must land exactly (bench_async exits nonzero on a mismatch).
+  # Async-aggregation gate: the round engine's buffered async mode and its
+  # sync barrier mode both run under one availability trace, and the async
+  # fold budget must land exactly (bench_async exits nonzero on a mismatch).
   run_step "bench.async" ctest --test-dir "$BUILD_DIR" \
     --output-on-failure -R '^bench\.async_smoke$'
   # Sharded-fold gate: every shard count and the two-level topology must
@@ -69,6 +69,12 @@ else
   # the auto chooser stops being thread-count deterministic.
   run_step "bench.codec" ctest --test-dir "$BUILD_DIR" \
     --output-on-failure -R '^bench\.codec_smoke$'
+  # End-to-end benchmark identity gate: perfbench builds its own runner
+  # into .bench_build/ and runs paper, cohort and async_topk (the last is
+  # not gated by BENCHMARK.json) bare, untraced and traced at smoke size;
+  # it exits nonzero unless all three runs of a workload give the same
+  # final-state hash and RoundStats history digest.
+  run_step "bench.perfbench" python3 "$SRC_ROOT/perfbench/run.py" --self-test
   for lane in tsan asan ubsan; do
     run_step "lane.$lane" ctest --test-dir "$BUILD_DIR" \
       --output-on-failure -R "^$lane\."
