@@ -24,7 +24,6 @@
 #include <array>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -42,20 +41,6 @@ using SteadyClock = std::chrono::steady_clock;
 // compression work must never move the default path off these bits.
 constexpr std::uint64_t kExpectedF32Hash = 0x89149e2ffb0b8859ULL;
 constexpr double kAccuracyTolerance = 0.005;  // half a probe point
-
-std::uint64_t fnv1a(const std::vector<float>& values) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (const float v : values) {
-    std::uint32_t bits;
-    static_assert(sizeof(bits) == sizeof(v));
-    __builtin_memcpy(&bits, &v, sizeof(bits));
-    for (int b = 0; b < 32; b += 8) {
-      hash ^= (bits >> b) & 0xFFu;
-      hash *= 0x100000001b3ULL;
-    }
-  }
-  return hash;
-}
 
 Workbench codec_workbench() {
   Setting setting;

@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/harness.h"
 #include "comm/payload.h"
 #include "common/thread_pool.h"
 #include "fl/shard_fold.h"
@@ -41,8 +42,8 @@ struct HierarchyOptions {
   std::string out = "BENCH_hierarchy.json";
 };
 
-// Minimal algorithm whose only job is handing ShardedFolder a mergeable
-// native fold; the training-side entry points are never called here.
+// Minimal algorithm whose only job is handing ShardedFolder the default
+// weighted fold; the training-side entry points are never called here.
 class BenchAlgo : public fl::Algorithm {
  public:
   BenchAlgo() : fl::Algorithm(fl::FlConfig{}) {}
@@ -56,25 +57,7 @@ class BenchAlgo : public fl::Algorithm {
                      const fl::PersonalizationContext&) override {
     return 0.0;
   }
-  std::unique_ptr<fl::StreamingAggregator> make_aggregator(
-      const nn::ModelState&, int) override {
-    return std::make_unique<fl::WeightedStreamingAggregator>();
-  }
 };
-
-std::uint64_t fnv1a(const std::vector<float>& values) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (const float v : values) {
-    std::uint32_t bits;
-    static_assert(sizeof(bits) == sizeof(v));
-    __builtin_memcpy(&bits, &v, sizeof(bits));
-    for (int b = 0; b < 32; b += 8) {
-      hash ^= (bits >> b) & 0xFFu;
-      hash *= 0x100000001b3ULL;
-    }
-  }
-  return hash;
-}
 
 struct FoldRun {
   int shards = 0;

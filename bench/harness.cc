@@ -1,6 +1,7 @@
 #include "bench/harness.h"
 
 #include <cstdio>
+#include <cstring>
 
 #include "cluster/kmeans.h"
 #include "cluster/quality.h"
@@ -197,6 +198,20 @@ PooledSamples pool_client_samples(const fl::FedDataset& fed, int num_clients,
   }
   pooled.x = tensor::concat_rows(parts);
   return pooled;
+}
+
+std::uint64_t fnv1a(const std::vector<float>& values) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const float v : values) {
+    std::uint32_t bits;
+    static_assert(sizeof(bits) == sizeof(v));
+    std::memcpy(&bits, &v, sizeof(bits));
+    for (int b = 0; b < 32; b += 8) {
+      hash ^= (bits >> b) & 0xFFu;
+      hash *= 0x100000001b3ULL;
+    }
+  }
+  return hash;
 }
 
 }  // namespace calibre::bench

@@ -20,6 +20,7 @@
 //   CALIBRE_FAST=1          tiny smoke-scale run (CI)
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -103,5 +104,9 @@ struct PooledSamples {
 };
 PooledSamples pool_client_samples(const fl::FedDataset& fed, int num_clients,
                                   int per_client);
+
+// 64-bit FNV-1a over the little-endian bytes of `values`: the final-state
+// hash the benches gate bit-identity on.
+std::uint64_t fnv1a(const std::vector<float>& values);
 
 }  // namespace calibre::bench

@@ -112,8 +112,6 @@ class ScaffoldAggregator : public fl::StreamingAggregator {
     rhs->folded_ = 0;
   }
 
-  bool mergeable() const override { return true; }
-
  private:
   std::size_t model_dim_;
   std::vector<float>& server_control_;
@@ -208,15 +206,6 @@ fl::ClientUpdate Scaffold::local_update(const nn::ModelState& global,
   update.state = nn::ModelState(std::move(packed));
   update.weight = static_cast<float>(ctx.train->size());
   return update;
-}
-
-nn::ModelState Scaffold::aggregate(const nn::ModelState& global,
-                                   const std::vector<fl::ClientUpdate>& updates,
-                                   int round) {
-  CALIBRE_CHECK(!updates.empty());
-  const auto fold = make_aggregator(global, round);
-  for (const fl::ClientUpdate& update : updates) fold->fold(update);
-  return fold->finish();
 }
 
 std::unique_ptr<fl::StreamingAggregator> Scaffold::make_aggregator(

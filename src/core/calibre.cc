@@ -73,18 +73,6 @@ void Calibre::finalize_update(ssl::SslMethod& method,
       method, ctx.train->x, calibre_config_.divergence_prototypes, gen);
 }
 
-nn::ModelState Calibre::aggregate(const nn::ModelState& global,
-                                  const std::vector<fl::ClientUpdate>& updates,
-                                  int round) {
-  if (!calibre_config_.divergence_weighted_aggregation) {
-    return PflSsl::aggregate(global, updates, round);
-  }
-  CALIBRE_CHECK(!updates.empty());
-  const auto fold = make_aggregator(global, round);
-  for (const fl::ClientUpdate& update : updates) fold->fold(update);
-  return fold->finish();
-}
-
 std::unique_ptr<fl::StreamingAggregator> Calibre::make_aggregator(
     const nn::ModelState& global, int round) {
   if (!calibre_config_.divergence_weighted_aggregation) {

@@ -613,28 +613,17 @@ RunResult run_federated(Algorithm& algorithm, const FedDataset& fed,
   nn::ModelState state = algorithm.initialize();
   RunResult result;
   result.algorithm = algorithm.name();
-  // Sharded fold setup: --agg-shards > 1 engages parallel shard workers
-  // only for mergeable aggregators (probed once — mergeability is a static
-  // property of the algorithm); batch-adapter folds fall back to the flat
-  // path, since two buffered rank subsequences cannot be interleaved back
-  // into global rank order. Both paths run through ShardedFolder (shards=1
-  // + null pool is the inline flat fold), and the fixed-point accumulators
-  // make every shard count produce bit-identical states.
-  int fold_shards = 1;
+  // Every fold runs through ShardedFolder: --agg-shards > 1 decodes and
+  // folds on parallel shard workers, 1 (with a null pool) is the inline flat
+  // fold, and the fixed-point accumulators make every shard count produce
+  // bit-identical states.
   std::unique_ptr<common::ThreadPool> fold_pool;
   if (config.agg_shards > 1) {
-    if (algorithm.make_aggregator(state, /*round=*/0)->mergeable()) {
-      fold_shards = config.agg_shards;
-      fold_pool = std::make_unique<common::ThreadPool>(
-          static_cast<std::size_t>(config.agg_shards));
-    } else {
-      log::warn() << algorithm.name() << ": aggregator is not mergeable; "
-                  << "--agg-shards " << config.agg_shards
-                  << " falls back to the flat single-threaded fold";
-    }
+    fold_pool = std::make_unique<common::ThreadPool>(
+        static_cast<std::size_t>(config.agg_shards));
   }
-  RoundEngine(algorithm, fed, router, state, fold_shards, fold_pool.get(),
-              result)
+  RoundEngine(algorithm, fed, router, state, config.agg_shards,
+              fold_pool.get(), result)
       .run();
   result.train_seconds = seconds_between(train_start, SteadyClock::now());
 

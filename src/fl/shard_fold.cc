@@ -31,9 +31,6 @@ ShardedFolder::ShardedFolder(Algorithm& algorithm, const nn::ModelState& global,
   for (int s = 0; s < shards; ++s) {
     auto shard = std::make_unique<Shard>();
     shard->agg = algorithm.make_aggregator(global, round);
-    CALIBRE_CHECK_MSG(shards == 1 || shard->agg->mergeable(),
-                      "sharded fold needs a mergeable aggregator; the runner "
-                      "must fall back to shards=1 for batch-adapter folds");
     shards_.push_back(std::move(shard));
   }
 }
@@ -60,12 +57,6 @@ void ShardedFolder::fold_item(Shard& shard, Item item) {
   norms_[rank] = static_cast<double>(update.state.norm());
   f32_bytes_[rank] = update_wire_size_f32(update);
   shard.agg->fold(std::move(update));
-  // Streaming invariant (same CHECK the flat path makes): a bounded-memory
-  // aggregator never buffers decoded updates.
-  if (shard.agg->bounded_memory()) {
-    CALIBRE_CHECK_EQ(shard.agg->buffered_updates(), std::size_t{0},
-                     "bounded-memory aggregator buffered decoded updates");
-  }
   shard.decode_seconds += seconds_between(start, decoded);
   shard.fold_seconds += seconds_between(decoded, Clock::now());
 }

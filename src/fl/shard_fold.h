@@ -10,7 +10,7 @@
 // root aggregator, which the runner finish()es exactly as it finished the
 // flat fold.
 //
-// Determinism: every native fold accumulates in exact fixed-point
+// Determinism: every aggregator accumulates in exact fixed-point
 // (flapi/fixed_accum.h), so the merged result is bit-identical to the flat
 // single-threaded fold for ANY shard count and any schedule — the hash
 // check in bench_hierarchy gates on exactly this. Per-rank stats (update
@@ -24,7 +24,7 @@
 // ranks fold in submission (ascending-rank) order within their shard. With
 // a null pool the folder degrades to inline decode+fold on the caller
 // thread (same code path, zero threading), which is what the runner uses
-// when sharding is off or the aggregator is not mergeable.
+// when sharding is off.
 //
 // Memory: at most `shards` decoded updates exist outside aggregators at any
 // instant (one per active worker); queued items hold serialized payload
@@ -50,8 +50,7 @@ class ShardedFolder {
   // Creates `shards` shard aggregators via algorithm.make_aggregator(global,
   // round). `capacity` is the rank bound: the most folds one commit window
   // can take (sync: clients_per_round; async: buffer size). `pool` runs the
-  // shard workers; nullptr folds inline on the caller thread. shards > 1
-  // requires a mergeable aggregator (CHECKed).
+  // shard workers; nullptr folds inline on the caller thread.
   ShardedFolder(Algorithm& algorithm, const nn::ModelState& global, int round,
                 int shards, common::ThreadPool* pool, std::size_t capacity);
 

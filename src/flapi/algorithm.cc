@@ -91,14 +91,6 @@ ClientUpdate deserialize_update(const std::vector<std::uint8_t>& bytes,
 
 // --- streaming aggregation ---------------------------------------------------
 
-void StreamingAggregator::merge(StreamingAggregator&& /*other*/) {
-  CALIBRE_CHECK_MSG(false,
-                    "this aggregator is not mergeable (mergeable() is false): "
-                    "shard-parallel folding needs a native fold whose partial "
-                    "state composes — the batch adapter cannot interleave two "
-                    "buffered rank subsequences");
-}
-
 WeightedStreamingAggregator::WeightedStreamingAggregator(WeightFn weight_of)
     : weight_of_(std::move(weight_of)) {}
 
@@ -154,37 +146,18 @@ void WeightedStreamingAggregator::merge(StreamingAggregator&& other) {
   rhs->folded_ = 0;
 }
 
-BatchAggregatorAdapter::BatchAggregatorAdapter(Algorithm& algorithm,
-                                               nn::ModelState global,
-                                               int round)
-    : algorithm_(algorithm), global_(std::move(global)), round_(round) {}
-
-void BatchAggregatorAdapter::fold(ClientUpdate update) {
-  updates_.push_back(std::move(update));
-  ++folded_;
-}
-
-nn::ModelState BatchAggregatorAdapter::finish() {
-  CALIBRE_CHECK_MSG(folded_ > 0, "finish() before any update was folded");
-  return algorithm_.aggregate(global_, updates_, round_);
-}
-
 std::unique_ptr<StreamingAggregator> Algorithm::make_aggregator(
-    const nn::ModelState& global, int round) {
-  return std::make_unique<BatchAggregatorAdapter>(*this, global, round);
+    const nn::ModelState& /*global*/, int /*round*/) {
+  return std::make_unique<WeightedStreamingAggregator>();
 }
 
-nn::ModelState Algorithm::aggregate(const nn::ModelState& /*global*/,
+nn::ModelState Algorithm::aggregate(const nn::ModelState& global,
                                     const std::vector<ClientUpdate>& updates,
-                                    int /*round*/) {
-  return fedavg_aggregate(updates);
-}
-
-nn::ModelState fedavg_aggregate(const std::vector<ClientUpdate>& updates) {
+                                    int round) {
   CALIBRE_CHECK(!updates.empty());
-  WeightedStreamingAggregator fold;
-  for (const ClientUpdate& update : updates) fold.fold(update);
-  return fold.finish();
+  const auto fold = make_aggregator(global, round);
+  for (const ClientUpdate& update : updates) fold->fold(update);
+  return fold->finish();
 }
 
 }  // namespace calibre::fl

@@ -1,7 +1,7 @@
 // The pluggable FL algorithm interface.
 //
 // The Runner drives: initialize() -> rounds of {local_update on sampled
-// clients, aggregate} -> personalize() on every client (participating and
+// clients, fold into make_aggregator()} -> personalize() on every client (participating and
 // novel). All model movement between runner and algorithm is by value
 // (ModelState), matching the serialization boundary of the comm layer.
 //
@@ -84,27 +84,20 @@ struct PersonalizationContext {
 
 // --- streaming aggregation ---------------------------------------------------
 //
-// The runner folds client updates into the next global state as they arrive
-// (in selection-rank order, enforced by a reorder buffer) instead of
-// buffering all K of them and calling a batch aggregate. A native streaming
-// fold keeps server memory O(model) regardless of how many clients
-// participate; the batch adapter below preserves the legacy behaviour for
-// algorithms whose aggregation is not incremental.
+// Aggregation has one contract: the runner folds client updates into the
+// next global state as they arrive (in selection-rank order, enforced by a
+// reorder buffer), so server memory stays O(model) regardless of how many
+// clients participate. There is no batch path beside the fold:
+// Algorithm::aggregate() is itself a fold over make_aggregator().
 //
-// Equivalence contract: an algorithm's batch aggregate() and the aggregator
-// returned by make_aggregator() must produce bit-identical states for the
-// same update sequence. The weighted-average family guarantees this by
-// implementing aggregate() *on top of* its streaming fold.
-//
-// Hierarchical folds: a mergeable aggregator additionally supports
-// merge(), which combines a shard-local partial fold (over a DISJOINT
-// subset of the round's updates) into this one as if its updates had been
-// folded here. The native folds implement merge exactly — their
-// accumulators are fixed-point integers (fl/fixed_accum.h), so integer
-// associativity makes every fold schedule (flat, N shards, multi-level
-// edge-aggregator trees) bit-identical by construction. That is what lets
-// the runner decode + fold replies on parallel shard workers and still
-// hash-match the flat single-threaded fold.
+// Every aggregator also supports merge(), which combines a shard-local
+// partial fold (over a DISJOINT subset of the round's updates) into this one
+// as if its updates had been folded here. The folds implement merge exactly
+// — their accumulators are fixed-point integers (flapi/fixed_accum.h), so
+// integer associativity makes every fold schedule (flat, N shards,
+// multi-level edge-aggregator trees) bit-identical by construction. That is
+// what lets the runner decode + fold replies on parallel shard workers and
+// still hash-match the flat single-threaded fold.
 class StreamingAggregator {
  public:
   virtual ~StreamingAggregator() = default;
@@ -124,23 +117,14 @@ class StreamingAggregator {
   // subset, created by make_aggregator() with the same (global, round) —
   // into this aggregator. Only legal before finish(); `other` is consumed
   // (left empty, never finished). An empty `other` is the merge identity,
-  // and merging into an empty aggregator adopts `other`'s state. The
-  // default CHECK-fails: the batch adapter cannot interleave two buffered
-  // rank subsequences back into global rank order, so only native folds
-  // (mergeable() == true) implement this.
-  virtual void merge(StreamingAggregator&& other);
+  // and merging into an empty aggregator adopts `other`'s state.
+  virtual void merge(StreamingAggregator&& other) = 0;
 
-  // True when merge() is implemented — the runner only engages the sharded
-  // parallel fold path for mergeable aggregators and falls back to the flat
-  // single-threaded fold otherwise.
-  virtual bool mergeable() const { return false; }
-
-  // Decoded updates held inside the aggregator: 0 for native streaming
-  // folds, one per fold() for the batch adapter. The runner CHECKs this
-  // against its decoded-update bound when bounded_memory() is true.
+  // Always true; nothing in src/ reads it (perfbench forwards it).
+  virtual bool mergeable() const { return true; }
+  // Always 0; nothing in src/ reads it (perfbench forwards it).
   virtual std::size_t buffered_updates() const { return 0; }
-
-  // True when memory stays O(model) for any participant count.
+  // Always true; nothing in src/ reads it (perfbench forwards it).
   virtual bool bounded_memory() const { return true; }
 
   int folded() const { return folded_; }
@@ -157,7 +141,7 @@ class StreamingAggregator {
 // the default reads ClientUpdate::weight. Normalisation happens once at
 // finish(), which is what makes a weighted mean foldable without knowing
 // the participant set (or total weight) up front. The accumulator is a
-// fixed-point integer sum (fl/fixed_accum.h), so merge() — shard partials
+// fixed-point integer sum (flapi/fixed_accum.h), so merge() — shard partials
 // added element-wise — is exactly associative and commutative: sharded and
 // flat folds are bit-identical for any shard count.
 class WeightedStreamingAggregator : public StreamingAggregator {
@@ -168,35 +152,11 @@ class WeightedStreamingAggregator : public StreamingAggregator {
   void fold(ClientUpdate update) override;
   nn::ModelState finish() override;
   void merge(StreamingAggregator&& other) override;
-  bool mergeable() const override { return true; }
 
  private:
   WeightFn weight_of_;
   std::vector<fixedpoint::Acc> acc_;
   fixedpoint::Acc total_weight_ = 0;
-};
-
-class Algorithm;
-
-// Legacy-shaped adapter: buffers every update and delegates to the
-// algorithm's batch aggregate() at finish(). Memory O(participants) — the
-// safe default for algorithms whose aggregation the runner knows nothing
-// about.
-class BatchAggregatorAdapter : public StreamingAggregator {
- public:
-  BatchAggregatorAdapter(Algorithm& algorithm, nn::ModelState global,
-                         int round);
-
-  void fold(ClientUpdate update) override;
-  nn::ModelState finish() override;
-  std::size_t buffered_updates() const override { return updates_.size(); }
-  bool bounded_memory() const override { return false; }
-
- private:
-  Algorithm& algorithm_;
-  nn::ModelState global_;
-  int round_;
-  std::vector<ClientUpdate> updates_;
 };
 
 class Algorithm {
@@ -216,21 +176,18 @@ class Algorithm {
   virtual ClientUpdate local_update(const nn::ModelState& global,
                                     const ClientContext& ctx) = 0;
 
-  // Combines updates into the next global state. Default: weighted FedAvg.
-  // Retained as the batch entry point for tests and tools; the runner
-  // aggregates through make_aggregator() instead.
+  // The aggregator the round loop folds this round's updates into.
+  // Default: weighted FedAvg over ClientUpdate::weight.
+  virtual std::unique_ptr<StreamingAggregator> make_aggregator(
+      const nn::ModelState& global, int round);
+
+  // Batch helper for tests and tools: folds `updates` (non-empty) through
+  // make_aggregator(global, round) and finishes, so it is bit-identical to
+  // the streaming path by construction. Virtual only as perfbench's
+  // forwarding surface; nothing in src/ overrides it.
   virtual nn::ModelState aggregate(const nn::ModelState& global,
                                    const std::vector<ClientUpdate>& updates,
                                    int round);
-
-  // Streaming aggregation entry point used by the round loop. The default
-  // wraps this algorithm's batch aggregate() (correct for any override, at
-  // O(participants) memory); algorithms whose aggregation folds
-  // incrementally override it with an O(model) native aggregator. An
-  // override of aggregate() and an override of make_aggregator() must stay
-  // bit-identical — see the contract above.
-  virtual std::unique_ptr<StreamingAggregator> make_aggregator(
-      const nn::ModelState& global, int round);
 
   // Personalization + evaluation for one client; returns test accuracy.
   virtual double personalize(const nn::ModelState& global,
@@ -241,10 +198,5 @@ class Algorithm {
  protected:
   FlConfig config_;
 };
-
-// Weighted average of updates (weights normalised internally). Implemented
-// as a WeightedStreamingAggregator fold over `updates`, so batch and
-// streaming results are bit-identical by construction.
-nn::ModelState fedavg_aggregate(const std::vector<ClientUpdate>& updates);
 
 }  // namespace calibre::fl

@@ -27,6 +27,13 @@ namespace {
 
 using tensor::Tensor;
 
+// Weighted FedAvg of `updates` through the default fold.
+nn::ModelState fold_all(const std::vector<ClientUpdate>& updates) {
+  WeightedStreamingAggregator fold;
+  for (const ClientUpdate& update : updates) fold.fold(update);
+  return fold.finish();
+}
+
 TEST(Aggregate, WeightedMean) {
   ClientUpdate a;
   a.state = nn::ModelState(std::vector<float>{1.0f, 2.0f});
@@ -34,7 +41,7 @@ TEST(Aggregate, WeightedMean) {
   ClientUpdate b;
   b.state = nn::ModelState(std::vector<float>{3.0f, 6.0f});
   b.weight = 3.0f;
-  const nn::ModelState merged = fedavg_aggregate({a, b});
+  const nn::ModelState merged = fold_all({a, b});
   EXPECT_FLOAT_EQ(merged.values()[0], (1.0f + 3 * 3.0f) / 4.0f);
   EXPECT_FLOAT_EQ(merged.values()[1], (2.0f + 3 * 6.0f) / 4.0f);
 }
@@ -43,23 +50,23 @@ TEST(Aggregate, SingleUpdateIsIdentity) {
   ClientUpdate a;
   a.state = nn::ModelState(std::vector<float>{5.0f, -1.0f});
   a.weight = 2.5f;
-  const nn::ModelState merged = fedavg_aggregate({a});
+  const nn::ModelState merged = fold_all({a});
   EXPECT_EQ(merged.values(), a.state.values());
 }
 
 TEST(Aggregate, RejectsBadInput) {
-  EXPECT_THROW(fedavg_aggregate({}), CheckError);
+  EXPECT_THROW(fold_all({}), CheckError);  // finish() with nothing folded
   ClientUpdate a;
   a.state = nn::ModelState(std::vector<float>{1.0f});
   a.weight = 0.0f;
-  EXPECT_THROW(fedavg_aggregate({a}), CheckError);
+  EXPECT_THROW(fold_all({a}), CheckError);
   ClientUpdate b;
   b.state = nn::ModelState(std::vector<float>{1.0f, 2.0f});
   b.weight = 1.0f;
   ClientUpdate c;
   c.state = nn::ModelState(std::vector<float>{1.0f});
   c.weight = 1.0f;
-  EXPECT_THROW(fedavg_aggregate({b, c}), CheckError);
+  EXPECT_THROW(fold_all({b, c}), CheckError);
 }
 
 TEST(ClientUpdateSerde, RoundTrip) {
@@ -512,10 +519,10 @@ TEST(RunnerFaults, InjectedFaultsAreDeterministicAcrossRuns) {
 // Aggregation must not depend on reply arrival order: float summation is
 // order-sensitive, so aggregating whatever the mailbox yields first made
 // multi-threaded runs drift with thread scheduling. Clients stamp their id
-// into the update's scalar side channel, aggregate() records the order it
-// receives them in, and injected per-dispatch latency scrambles arrivals —
-// the recorded order must still match the latency-free run's, because the
-// runner sorts updates back into selection order before aggregating.
+// into the update's scalar side channel, the aggregator's fold records the
+// order it receives them in, and injected per-dispatch latency scrambles
+// arrivals — the recorded order must still match the latency-free run's,
+// because the runner sorts updates back into selection order before folding.
 class OrderRecordingAlgorithm : public ToyAlgorithm {
  public:
   using ToyAlgorithm::ToyAlgorithm;
@@ -525,13 +532,14 @@ class OrderRecordingAlgorithm : public ToyAlgorithm {
     update.scalars["id"] = static_cast<float>(ctx.client_id);
     return update;
   }
-  nn::ModelState aggregate(const nn::ModelState& global,
-                           const std::vector<ClientUpdate>& updates,
-                           int round) override {
-    for (const ClientUpdate& update : updates) {
-      seen.push_back(static_cast<int>(update.scalars.at("id")));
-    }
-    return Algorithm::aggregate(global, updates, round);
+  // Unsharded, the fold runs on the server thread only.
+  std::unique_ptr<StreamingAggregator> make_aggregator(
+      const nn::ModelState&, int) override {
+    return std::make_unique<WeightedStreamingAggregator>(
+        [this](const ClientUpdate& update) {
+          seen.push_back(static_cast<int>(update.scalars.at("id")));
+          return static_cast<double>(update.weight);
+        });
   }
   std::vector<int> seen;
 };
@@ -862,46 +870,26 @@ TEST(UpdateCodecEF, LossyRunsTrackTheLosslessRunWithCompressionStats) {
 
 // --- streaming aggregation ---------------------------------------------------
 
-// ToyAlgorithm inherits the BatchAggregatorAdapter default (its aggregate()
-// is the batch path); this variant opts into the native O(model) streaming
-// fold. The two must be bit-identical by construction.
-class StreamingToyAlgorithm : public ToyAlgorithm {
- public:
-  using ToyAlgorithm::ToyAlgorithm;
-  std::unique_ptr<StreamingAggregator> make_aggregator(
-      const nn::ModelState&, int) override {
-    return std::make_unique<WeightedStreamingAggregator>();
-  }
-};
-
-// The equivalence contract of StreamingAggregator, end to end: the native
-// fold and the batch adapter must produce bit-identical global states for
-// any thread count and any arrival order (injected latency makes replies
-// land out of selection order, exercising the reorder buffer).
-TEST(StreamingAggregation, NativeFoldMatchesBatchAdapterBitwise) {
+// The streaming fold, end to end: the global state must be bit-identical
+// for any thread count and any arrival order (injected latency makes
+// replies land out of selection order, exercising the reorder buffer).
+TEST(StreamingAggregation, FoldBitIdenticalAcrossThreadsAndArrivalOrder) {
   const int clients = 7;
   const FedDataset fed = toy_fed(clients);
-  auto run = [&](bool streaming, int threads, int latency_ms) {
+  auto run = [&](int threads, int latency_ms) {
     FlConfig config = toy_config(clients);
     config.rounds = 3;
     config.threads = threads;
     config.fault_latency_ms = latency_ms;
-    if (streaming) {
-      StreamingToyAlgorithm algorithm(config);
-      return run_federated(algorithm, fed, false).final_state.values();
-    }
     ToyAlgorithm algorithm(config);
     return run_federated(algorithm, fed, false).final_state.values();
   };
-  const std::vector<float> reference = run(false, 1, 0);
+  const std::vector<float> reference = run(1, 0);
   ASSERT_EQ(reference.size(), 2u);
-  for (const bool streaming : {false, true}) {
-    for (const int threads : {1, 3, 8}) {
-      for (const int latency_ms : {0, 20}) {
-        EXPECT_EQ(run(streaming, threads, latency_ms), reference)
-            << (streaming ? "streaming" : "batch") << " threads=" << threads
-            << " latency=" << latency_ms;
-      }
+  for (const int threads : {1, 3, 8}) {
+    for (const int latency_ms : {0, 20}) {
+      EXPECT_EQ(run(threads, latency_ms), reference)
+          << "threads=" << threads << " latency=" << latency_ms;
     }
   }
 }
@@ -918,7 +906,7 @@ TEST(StreamingAggregation, ReorderBufferDrainsAroundPermanentFailures) {
     FlConfig config = toy_config(clients);
     config.rounds = 3;
     config.fault_latency_ms = 30;
-    StreamingToyAlgorithm algorithm(config, [](const ClientContext& ctx) {
+    ToyAlgorithm algorithm(config, [](const ClientContext& ctx) {
       if (ctx.client_id == 2) throw std::runtime_error("permanent failure");
     });
     const RunResult result = run_federated(algorithm, fed, false);
@@ -942,7 +930,7 @@ TEST(StreamingAggregation, DeadlineQuorumStillDrainsReorderBuffer) {
   config.round_deadline_ms = 150;
   config.min_participants = 3;
   std::atomic<int> dispatched{0};
-  StreamingToyAlgorithm algorithm(config, [&](const ClientContext&) {
+  ToyAlgorithm algorithm(config, [&](const ClientContext&) {
     // Every third dispatch stalls well past the deadline.
     if (dispatched.fetch_add(1) % 3 == 2) {
       std::this_thread::sleep_for(std::chrono::milliseconds(400));
@@ -1062,19 +1050,6 @@ TEST(MergeAlgebra, CustomWeightFnPartialsMergeExactly) {
   EXPECT_EQ(even.finish().values(), flat.finish().values());
 }
 
-TEST(MergeAlgebra, BatchAdapterRefusesToMerge) {
-  FlConfig config;
-  config.clients_per_round = 2;
-  ToyAlgorithm algorithm(config);
-  const nn::ModelState global(std::vector<float>{1.0f, -1.0f});
-  auto a = algorithm.Algorithm::make_aggregator(global, 0);
-  auto b = algorithm.Algorithm::make_aggregator(global, 0);
-  EXPECT_FALSE(a->mergeable());
-  a->fold(algebra_update(0));
-  b->fold(algebra_update(1));
-  EXPECT_THROW(a->merge(std::move(*b)), CheckError);
-}
-
 // --- sharded parallel fold ---------------------------------------------------
 
 // The tentpole invariant end to end: with --agg-shards the reorder buffer
@@ -1090,7 +1065,7 @@ TEST(ShardedAggregation, BitIdenticalAcrossShardAndThreadCounts) {
     config.threads = threads;
     config.agg_shards = shards;
     config.fault_latency_ms = 15;
-    StreamingToyAlgorithm algorithm(config);
+    ToyAlgorithm algorithm(config);
     const RunResult result = run_federated(algorithm, fed, false);
     EXPECT_EQ(result.history.size(), 3u);
     for (const RoundStats& r : result.history) {
@@ -1130,7 +1105,7 @@ TEST(ShardedAggregation, AsyncBitIdenticalAcrossShardAndThreadCounts) {
     config.agg_shards = shards;
     config.threads = threads;
     config.fault_latency_ms = 10;
-    StreamingToyAlgorithm algorithm(config);
+    ToyAlgorithm algorithm(config);
     return run_federated(algorithm, fed, false);
   };
   const RunResult reference = run(1, 1);
@@ -1164,7 +1139,7 @@ TEST(ShardedAggregation, FailedRanksLeaveShardHolesWithoutDivergence) {
     config.rounds = 3;
     config.agg_shards = shards;
     config.fault_latency_ms = 20;
-    StreamingToyAlgorithm algorithm(config, [](const ClientContext& ctx) {
+    ToyAlgorithm algorithm(config, [](const ClientContext& ctx) {
       if (ctx.client_id == 2) throw std::runtime_error("permanent failure");
     });
     const RunResult result = run_federated(algorithm, fed, false);
@@ -1188,7 +1163,7 @@ TEST(ShardedAggregation, DeadlineQuorumDrainsThroughShards) {
   config.min_participants = 3;
   config.agg_shards = 4;
   std::atomic<int> dispatched{0};
-  StreamingToyAlgorithm algorithm(config, [&](const ClientContext&) {
+  ToyAlgorithm algorithm(config, [&](const ClientContext&) {
     if (dispatched.fetch_add(1) % 3 == 2) {
       std::this_thread::sleep_for(std::chrono::milliseconds(400));
     }
@@ -1199,22 +1174,6 @@ TEST(ShardedAggregation, DeadlineQuorumDrainsThroughShards) {
     EXPECT_GE(r.participants, config.min_participants) << "round " << r.round;
     EXPECT_EQ(r.participants + r.timeouts, clients) << "round " << r.round;
   }
-}
-
-// A batch-adapter algorithm cannot shard (its buffered subsequences do not
-// interleave); --agg-shards must fall back to the flat fold, not crash, and
-// produce the exact flat result.
-TEST(ShardedAggregation, NonMergeableAggregatorFallsBackToFlatFold) {
-  const int clients = 6;
-  const FedDataset fed = toy_fed(clients);
-  auto run = [&](int shards) {
-    FlConfig config = toy_config(clients);
-    config.rounds = 2;
-    config.agg_shards = shards;
-    ToyAlgorithm algorithm(config);  // batch adapter: not mergeable
-    return run_federated(algorithm, fed, false).final_state.values();
-  };
-  EXPECT_EQ(run(6), run(1));
 }
 
 // --- failure accounting (regression) ----------------------------------------
@@ -1398,7 +1357,7 @@ TEST(AsyncAggregation, DeterministicAcrossThreadCountsUnderChurn) {
     config.device_classes = {{"fast", 0.0f, 0, 1.0f, 0},
                              {"flaky", 0.3f, 25, 1.0f, 0},
                              {"night", 0.0f, 10, 0.5f, 4}};
-    StreamingToyAlgorithm algorithm(config);
+    ToyAlgorithm algorithm(config);
     return run_federated(algorithm, fed, false);
   };
   const RunResult reference = run(1);
@@ -1435,7 +1394,7 @@ TEST(AsyncAggregation, StragglersDrainWithoutFoldingIntoLaterVersions) {
     config.clients_per_round = 4;
     config.threads = threads;
     config.fault_latency_ms = 30;  // scramble arrival order
-    StreamingToyAlgorithm algorithm(config);
+    ToyAlgorithm algorithm(config);
     const RunResult result = run_federated(algorithm, fed, false);
     ASSERT_EQ(result.history.size(), 5u);
     int folds = 0;
@@ -1465,7 +1424,7 @@ TEST(AsyncAggregation, StalenessDiscountsShiftTheAggregate) {
   auto run = [&](float alpha) {
     FlConfig config = async_toy_config(clients);
     config.staleness_alpha = alpha;
-    StreamingToyAlgorithm algorithm(config);
+    ToyAlgorithm algorithm(config);
     return run_federated(algorithm, fed, false).final_state.values();
   };
   EXPECT_EQ(run(0.5f), run(0.5f));

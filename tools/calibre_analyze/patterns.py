@@ -101,8 +101,9 @@ STREAMING_PATTERNS = [
      "reintroduces O(cohort * model) server memory at scale"),
     (re.compile(r"(?:\.|->)aggregate\s*\("),
      "the runner may not call batch aggregate(); use "
-     "make_aggregator()->fold()/finish() so memory stays O(model) — batch "
-     "semantics are preserved by the BatchAggregatorAdapter default"),
+     "make_aggregator()->fold()/finish() so memory stays O(model) — "
+     "aggregate() is a helper for tests and tools that needs every update "
+     "in memory at once"),
     (re.compile(r"\b[Ss]hard\w*(?:\[[^\]]*\])?\s*"
                 r"(?:(?:\.|->)\s*\w+\s*(?:\[[^\]]*\])?\s*)*"
                 r"(?:\.|->)\s*finish\s*\("),

@@ -40,6 +40,20 @@ run_step() {
   return $rc
 }
 
+perfbench_recorded() {
+  local workload out line
+  for workload in paper cohort async_topk; do
+    out="$(python3 "$SRC_ROOT/perfbench/run.py" --workload "$workload" \
+      --seed 42 --seconds 1)" || return 1
+    line="$(grep '^perfbench: hash ' <<<"$out")"
+    echo "$line"
+    case "$line" in
+      *": matches") ;;
+      *) echo "ci: $workload moved from the recorded bits"; return 1 ;;
+    esac
+  done
+}
+
 run_step "configure" cmake -S "$SRC_ROOT" -B "$BUILD_DIR" \
   && run_step "build" cmake --build "$BUILD_DIR" --parallel "$NPROC"
 if [ $overall -ne 0 ]; then
@@ -75,6 +89,10 @@ else
   # it exits nonzero unless all three runs of a workload give the same
   # final-state hash and RoundStats history digest.
   run_step "bench.perfbench" python3 "$SRC_ROOT/perfbench/run.py" --self-test
+  # Recorded-bits gate: run.py prints its verdict on the seed-42 final-state
+  # hash and history digest but exits 0 when they moved, so this step fails
+  # unless every workload's hash line ends in ": matches".
+  run_step "bench.perfbench_recorded" perfbench_recorded
   for lane in tsan asan ubsan; do
     run_step "lane.$lane" ctest --test-dir "$BUILD_DIR" \
       --output-on-failure -R "^$lane\."
@@ -94,10 +112,10 @@ fi
 
 echo
 echo "==== ci summary ===="
-printf '%-18s %-8s %s\n' "step" "seconds" "result"
-printf '%-18s %-8s %s\n' "----" "-------" "------"
+printf '%-26s %-8s %s\n' "step" "seconds" "result"
+printf '%-26s %-8s %s\n' "----" "-------" "------"
 for i in "${!STEP_NAMES[@]}"; do
-  printf '%-18s %-8s %s\n' "${STEP_NAMES[$i]}" "${STEP_SECONDS[$i]}" \
+  printf '%-26s %-8s %s\n' "${STEP_NAMES[$i]}" "${STEP_SECONDS[$i]}" \
     "${STEP_RESULTS[$i]}"
 done
 if [ $overall -eq 0 ]; then
