@@ -40,8 +40,7 @@ void run_figure(const std::string& title, const bench::Setting& setting,
       // pooled samples with that client's own local representation.
       std::vector<tensor::Tensor> parts;
       for (int c = 0; c < 6 && c < workbench.fed.num_train_clients(); ++c) {
-        const data::Dataset& shard =
-            workbench.fed.test[static_cast<std::size_t>(c)];
+        const data::Dataset shard = workbench.fed.test_shard(c);
         const int take = std::min<int>(50, static_cast<int>(shard.size()));
         std::vector<int> idx(static_cast<std::size_t>(take));
         for (int i = 0; i < take; ++i) idx[static_cast<std::size_t>(i)] = i;

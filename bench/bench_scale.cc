@@ -1,14 +1,14 @@
 // bench_scale — server-side scalability of the streaming runner.
 //
 // For each population size K the bench forks a child process that builds a
-// *virtual* federated dataset over K clients, runs a few federated rounds
+// federated dataset over K clients, runs a few federated rounds
 // through fl::run_federated, and reports wall time plus its peak RSS
 // (getrusage ru_maxrss). Fork-per-population matters: ru_maxrss is a
 // process-lifetime high-water mark, so measuring 1k / 10k / 100k in one
 // process would let the largest run mask the others.
 //
-// The point of the measurement: with streaming aggregation + virtual
-// clients, server memory is O(model + dataset), not O(population), so peak
+// The point of the measurement: with streaming aggregation + on-demand
+// client shards, server memory is O(model + dataset), not O(population), so peak
 // RSS should stay essentially flat from 1k to 100k clients while rounds/s
 // degrades only with the sampled cohort, not with K.
 //
@@ -82,7 +82,7 @@ ScaleResult run_population(const ScaleOptions& options, int clients) {
                           partition_gen);
   rng::Generator fed_gen(42 ^ 0xFEED);
   const fl::FedDataset fed =
-      fl::build_virtual_fed_dataset(synth, partition, clients, fed_gen);
+      fl::build_fed_dataset(synth, partition, clients, fed_gen);
 
   fl::FlConfig config;
   config.encoder.input_dim = synth.train.input_dim();
@@ -268,7 +268,7 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     const bool has_value = i + 1 < argc;
     if (arg == "--smoke") {
-      // CI-sized sweep: still exercises fork + virtual build + streaming
+      // CI-sized sweep: still exercises fork + dataset build + streaming
       // rounds + the RSS guard, in a few seconds.
       options.populations = {200, 1000};
       options.rounds = 2;

@@ -186,7 +186,7 @@ PooledSamples pool_client_samples(const fl::FedDataset& fed, int num_clients,
   std::vector<tensor::Tensor> parts;
   const int clients = std::min(num_clients, fed.num_train_clients());
   for (int c = 0; c < clients; ++c) {
-    const data::Dataset& shard = fed.test[static_cast<std::size_t>(c)];
+    const data::Dataset shard = fed.test_shard(c);
     const int take = std::min<int>(per_client, static_cast<int>(shard.size()));
     std::vector<int> indices(static_cast<std::size_t>(take));
     for (int i = 0; i < take; ++i) indices[static_cast<std::size_t>(i)] = i;

@@ -37,7 +37,7 @@ int main() {
       fl::build_fed_dataset(synth, partition, train_clients, fed_gen);
 
   std::cout << "Each client: 60 labeled samples + "
-            << fed.ssl_pool.front().rows() - 60
+            << fed.unlabeled_share
             << " unlabeled samples (SSL-only pool)\n";
 
   fl::FlConfig config;

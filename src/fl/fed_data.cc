@@ -3,77 +3,43 @@
 #include "common/check.h"
 
 namespace calibre::fl {
-namespace {
 
-// The SSL pool construction shared by the eager build and the virtual
-// accessor: labeled inputs (or latents) plus this client's slice of the
-// shuffled unlabeled order. Keeping one implementation is what guarantees
-// the two modes produce bit-identical pools.
-tensor::Tensor make_ssl_pool(const data::Dataset& labeled,
-                             const data::Dataset& unlabeled,
-                             bool pool_is_latent,
-                             const std::vector<int>& unlabeled_order,
-                             std::size_t share, int client) {
-  const tensor::Tensor& labeled_pool =
-      pool_is_latent ? labeled.latents : labeled.x;
-  if (share == 0) return labeled_pool;
-  const std::size_t begin = static_cast<std::size_t>(client) * share;
+data::Dataset FedDataset::train_shard(int client) const {
+  CALIBRE_CHECK(client >= 0 && client < train_clients);
+  return base_train.subset(train_indices[static_cast<std::size_t>(client)]);
+}
+
+data::Dataset FedDataset::test_shard(int client) const {
+  CALIBRE_CHECK(client >= 0 && client < train_clients);
+  return base_test.subset(test_indices[static_cast<std::size_t>(client)]);
+}
+
+data::Dataset FedDataset::novel_train_shard(int novel) const {
+  CALIBRE_CHECK(novel >= 0 && novel < num_novel_clients());
+  return base_train.subset(
+      train_indices[static_cast<std::size_t>(train_clients + novel)]);
+}
+
+data::Dataset FedDataset::novel_test_shard(int novel) const {
+  CALIBRE_CHECK(novel >= 0 && novel < num_novel_clients());
+  return base_test.subset(
+      test_indices[static_cast<std::size_t>(train_clients + novel)]);
+}
+
+tensor::Tensor FedDataset::client_ssl_pool(int client,
+                                           const data::Dataset& train) const {
+  CALIBRE_CHECK(client >= 0 && client < train_clients);
+  const tensor::Tensor& labeled_pool = pool_is_latent ? train.latents : train.x;
+  if (unlabeled_share == 0) return labeled_pool;
+  const auto begin = unlabeled_order.begin() +
+                     static_cast<std::ptrdiff_t>(
+                         static_cast<std::size_t>(client) * unlabeled_share);
   const std::vector<int> slice(
-      unlabeled_order.begin() + static_cast<std::ptrdiff_t>(begin),
-      unlabeled_order.begin() + static_cast<std::ptrdiff_t>(begin + share));
+      begin, begin + static_cast<std::ptrdiff_t>(unlabeled_share));
   const tensor::Tensor& unlabeled_pool =
-      pool_is_latent ? unlabeled.latents : unlabeled.x;
+      pool_is_latent ? base_unlabeled.latents : base_unlabeled.x;
   return tensor::concat_rows(
       {labeled_pool, tensor::take_rows(unlabeled_pool, slice)});
-}
-
-}  // namespace
-
-const data::Dataset& FedDataset::train_shard(int client,
-                                             data::Dataset& scratch) const {
-  if (!is_virtual()) return train[static_cast<std::size_t>(client)];
-  CALIBRE_CHECK(client >= 0 && client < virtual_train_clients);
-  scratch = base_train.subset(train_indices[static_cast<std::size_t>(client)]);
-  return scratch;
-}
-
-const data::Dataset& FedDataset::test_shard(int client,
-                                            data::Dataset& scratch) const {
-  if (!is_virtual()) return test[static_cast<std::size_t>(client)];
-  CALIBRE_CHECK(client >= 0 && client < virtual_train_clients);
-  scratch = base_test.subset(test_indices[static_cast<std::size_t>(client)]);
-  return scratch;
-}
-
-const data::Dataset& FedDataset::novel_train_shard(
-    int novel, data::Dataset& scratch) const {
-  if (!is_virtual()) return novel_train[static_cast<std::size_t>(novel)];
-  CALIBRE_CHECK(novel >= 0 && novel < virtual_novel_clients);
-  const std::size_t index =
-      static_cast<std::size_t>(virtual_train_clients + novel);
-  scratch = base_train.subset(train_indices[index]);
-  return scratch;
-}
-
-const data::Dataset& FedDataset::novel_test_shard(
-    int novel, data::Dataset& scratch) const {
-  if (!is_virtual()) return novel_test[static_cast<std::size_t>(novel)];
-  CALIBRE_CHECK(novel >= 0 && novel < virtual_novel_clients);
-  const std::size_t index =
-      static_cast<std::size_t>(virtual_train_clients + novel);
-  scratch = base_test.subset(test_indices[index]);
-  return scratch;
-}
-
-const tensor::Tensor& FedDataset::client_ssl_pool(
-    int client, tensor::Tensor& scratch) const {
-  if (!is_virtual()) return ssl_pool[static_cast<std::size_t>(client)];
-  CALIBRE_CHECK(client >= 0 && client < virtual_train_clients);
-  data::Dataset shard_scratch;
-  const data::Dataset& labeled = train_shard(client, shard_scratch);
-  scratch = make_ssl_pool(labeled, base_unlabeled, pool_is_latent,
-                          unlabeled_order, unlabeled_share, client);
-  return scratch;
 }
 
 FedDataset build_fed_dataset(const data::SyntheticDataset& synth,
@@ -84,63 +50,15 @@ FedDataset build_fed_dataset(const data::SyntheticDataset& synth,
   FedDataset fed;
   fed.num_classes = synth.train.num_classes;
   fed.input_dim = synth.train.input_dim();
-
-  for (int c = 0; c < partition.num_clients(); ++c) {
-    data::Dataset train_shard = synth.train.subset(
-        partition.train_indices[static_cast<std::size_t>(c)]);
-    data::Dataset test_shard = synth.test.subset(
-        partition.test_indices[static_cast<std::size_t>(c)]);
-    if (c < num_train_clients) {
-      fed.train.push_back(std::move(train_shard));
-      fed.test.push_back(std::move(test_shard));
-    } else {
-      fed.novel_train.push_back(std::move(train_shard));
-      fed.novel_test.push_back(std::move(test_shard));
-    }
-  }
-
-  // Per-client SSL pools: labeled inputs plus an even, shuffled share of the
-  // unlabeled pool (empty share when the dataset has none).
-  fed.ssl_pool.reserve(static_cast<std::size_t>(num_train_clients));
-  std::vector<int> unlabeled_order(
-      static_cast<std::size_t>(synth.unlabeled.size()));
-  for (std::size_t i = 0; i < unlabeled_order.size(); ++i) {
-    unlabeled_order[i] = static_cast<int>(i);
-  }
-  gen.shuffle(unlabeled_order);
-  const std::size_t share = unlabeled_order.size() /
-                            static_cast<std::size_t>(num_train_clients);
-  // With a ViewOracle the pools hold class latents (views are rendered on
-  // demand); without one they hold raw pixels for generic augmentation.
-  fed.pool_is_latent = synth.oracle.valid();
-  fed.oracle = synth.oracle;
-  for (int c = 0; c < num_train_clients; ++c) {
-    fed.ssl_pool.push_back(make_ssl_pool(
-        fed.train[static_cast<std::size_t>(c)], synth.unlabeled,
-        fed.pool_is_latent, unlabeled_order, share, c));
-  }
-  return fed;
-}
-
-FedDataset build_virtual_fed_dataset(const data::SyntheticDataset& synth,
-                                     const data::Partition& partition,
-                                     int num_train_clients,
-                                     rng::Generator& gen) {
-  CALIBRE_CHECK(num_train_clients > 0 &&
-                num_train_clients <= partition.num_clients());
-  FedDataset fed;
-  fed.num_classes = synth.train.num_classes;
-  fed.input_dim = synth.train.input_dim();
-  fed.virtual_train_clients = num_train_clients;
-  fed.virtual_novel_clients = partition.num_clients() - num_train_clients;
+  fed.train_clients = num_train_clients;
   fed.base_train = synth.train;
   fed.base_test = synth.test;
   fed.base_unlabeled = synth.unlabeled;
   fed.train_indices = partition.train_indices;
   fed.test_indices = partition.test_indices;
 
-  // Same unlabeled shuffle as the eager build (one draw from `gen`), stored
-  // so client_ssl_pool can cut the identical per-client slices later.
+  // An even, shuffled share of the unlabeled pool per participating client
+  // (empty share when the dataset has none).
   fed.unlabeled_order.resize(static_cast<std::size_t>(synth.unlabeled.size()));
   for (std::size_t i = 0; i < fed.unlabeled_order.size(); ++i) {
     fed.unlabeled_order[i] = static_cast<int>(i);
@@ -148,9 +66,18 @@ FedDataset build_virtual_fed_dataset(const data::SyntheticDataset& synth,
   gen.shuffle(fed.unlabeled_order);
   fed.unlabeled_share = fed.unlabeled_order.size() /
                         static_cast<std::size_t>(num_train_clients);
+  // With a ViewOracle the pools hold class latents (views are rendered on
+  // demand); without one they hold raw pixels for generic augmentation.
   fed.pool_is_latent = synth.oracle.valid();
   fed.oracle = synth.oracle;
   return fed;
+}
+
+FedDataset build_virtual_fed_dataset(const data::SyntheticDataset& synth,
+                                     const data::Partition& partition,
+                                     int num_train_clients,
+                                     rng::Generator& gen) {
+  return build_fed_dataset(synth, partition, num_train_clients, gen);
 }
 
 }  // namespace calibre::fl

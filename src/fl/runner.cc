@@ -552,6 +552,61 @@ std::uint64_t derive_seed(std::uint64_t seed, std::uint64_t a,
   return z ^ (z >> 31);
 }
 
+Personalization personalize_all(Algorithm& algorithm, const FedDataset& fed,
+                                const nn::ModelState& state,
+                                bool personalize_novel) {
+  const FlConfig& config = algorithm.config();
+  common::ThreadPool pool(resolve_threads(config));
+  // `novel` switches both the shard accessors and the cap's sample stream;
+  // ids are indices within the respective set. With personalize_cap set, a
+  // seeded without-replacement sample of that size is evaluated instead of
+  // the full sweep (the cap stream is independent of the round sampler, so
+  // capping never perturbs training).
+  auto personalize_set = [&](int count, bool novel, std::uint64_t salt,
+                             int id_offset) {
+    std::vector<int> ids;
+    if (config.personalize_cap > 0 && count > config.personalize_cap) {
+      rng::Generator cap_gen(derive_seed(config.seed, 0x9CA9, novel ? 1 : 0));
+      ids = cap_gen.sample_without_replacement(count, config.personalize_cap);
+      std::sort(ids.begin(), ids.end());
+    } else {
+      ids.resize(static_cast<std::size_t>(count));
+      for (int i = 0; i < count; ++i) ids[static_cast<std::size_t>(i)] = i;
+    }
+    std::vector<std::future<double>> futures;
+    futures.reserve(ids.size());
+    for (const int id : ids) {
+      futures.push_back(pool.submit([&, id] {
+        const data::Dataset train =
+            novel ? fed.novel_train_shard(id) : fed.train_shard(id);
+        const data::Dataset test =
+            novel ? fed.novel_test_shard(id) : fed.test_shard(id);
+        PersonalizationContext ctx;
+        ctx.client_id = id_offset + id;
+        ctx.train = &train;
+        ctx.test = &test;
+        ctx.seed =
+            derive_seed(config.seed, salt, static_cast<std::uint64_t>(id));
+        return algorithm.personalize(state, ctx);
+      }));
+    }
+    std::vector<double> accuracies;
+    accuracies.reserve(futures.size());
+    for (auto& future : futures) accuracies.push_back(future.get());
+    return accuracies;
+  };
+  Personalization result;
+  result.train_accuracies = personalize_set(fed.num_train_clients(),
+                                            /*novel=*/false, 0xA11,
+                                            /*id_offset=*/0);
+  if (personalize_novel && fed.num_novel_clients() > 0) {
+    result.novel_accuracies =
+        personalize_set(fed.num_novel_clients(), /*novel=*/true, 0xB22,
+                        /*id_offset=*/fed.num_train_clients());
+  }
+  return result;
+}
+
 RunResult run_federated(Algorithm& algorithm, const FedDataset& fed,
                         bool personalize_novel) {
   const FlConfig& config = algorithm.config();
@@ -573,23 +628,23 @@ RunResult run_federated(Algorithm& algorithm, const FedDataset& fed,
   // Virtual clients: ONE generic device handler serves the whole population,
   // parameterized by the client id in Message::receiver — registration cost
   // O(1) instead of O(clients), and no per-client closures. The handler runs
-  // on the device pool: materialise the client's shard (a reference in eager
-  // mode, scratch-filled in virtual mode), deserialize global -> local
-  // update -> reply. Scratch lives on the handler frame, so per-shard memory
-  // is bounded by the pool's thread count, not the population.
+  // on the device pool: materialise the client's shard and SSL pool,
+  // deserialize global -> local update -> reply. The shard lives on the
+  // handler frame, so per-shard memory is bounded by the pool's thread count,
+  // not the population.
   router.register_default_handler([&](const comm::Message& request) {
     CALIBRE_CHECK(request.type == comm::MessageType::kTrainRequest);
     const int c = request.receiver;
     CALIBRE_CHECK(c >= 0 && c < fed.num_train_clients());
     const nn::ModelState global =
         nn::ModelState::from_bytes(request.payload.bytes());
-    data::Dataset train_scratch;
-    tensor::Tensor pool_scratch;
+    const data::Dataset train = fed.train_shard(c);
+    const tensor::Tensor ssl_pool = fed.client_ssl_pool(c, train);
     ClientContext ctx;
     ctx.client_id = c;
     ctx.round = request.round;
-    ctx.train = &fed.train_shard(c, train_scratch);
-    ctx.ssl_pool = &fed.client_ssl_pool(c, pool_scratch);
+    ctx.train = &train;
+    ctx.ssl_pool = &ssl_pool;
     ctx.oracle = fed.pool_is_latent ? &fed.oracle : nullptr;
     ctx.seed = derive_seed(config.seed,
                            static_cast<std::uint64_t>(request.round),
@@ -628,57 +683,10 @@ RunResult run_federated(Algorithm& algorithm, const FedDataset& fed,
   result.train_seconds = seconds_between(train_start, SteadyClock::now());
 
   // --- Personalization stage -------------------------------------------------
-  {
-    common::ThreadPool pool(resolve_threads(config));
-    // `novel` switches both the shard accessors and the cap's sample stream;
-    // ids are indices within the respective set. With personalize_cap set, a
-    // seeded without-replacement sample of that size is evaluated instead of
-    // the full sweep (the cap stream is independent of the round sampler, so
-    // capping never perturbs training).
-    auto personalize_set = [&](int count, bool novel, std::uint64_t salt,
-                               int id_offset) {
-      std::vector<int> ids;
-      if (config.personalize_cap > 0 && count > config.personalize_cap) {
-        rng::Generator cap_gen(
-            derive_seed(config.seed, 0x9CA9, novel ? 1 : 0));
-        ids = cap_gen.sample_without_replacement(count,
-                                                 config.personalize_cap);
-        std::sort(ids.begin(), ids.end());
-      } else {
-        ids.resize(static_cast<std::size_t>(count));
-        for (int i = 0; i < count; ++i) ids[static_cast<std::size_t>(i)] = i;
-      }
-      std::vector<std::future<double>> futures;
-      futures.reserve(ids.size());
-      for (const int id : ids) {
-        futures.push_back(pool.submit([&, id] {
-          data::Dataset train_scratch;
-          data::Dataset test_scratch;
-          PersonalizationContext ctx;
-          ctx.client_id = id_offset + id;
-          ctx.train = novel ? &fed.novel_train_shard(id, train_scratch)
-                            : &fed.train_shard(id, train_scratch);
-          ctx.test = novel ? &fed.novel_test_shard(id, test_scratch)
-                           : &fed.test_shard(id, test_scratch);
-          ctx.seed = derive_seed(config.seed, salt,
-                                 static_cast<std::uint64_t>(id));
-          return algorithm.personalize(state, ctx);
-        }));
-      }
-      std::vector<double> accuracies;
-      accuracies.reserve(futures.size());
-      for (auto& future : futures) accuracies.push_back(future.get());
-      return accuracies;
-    };
-    result.train_accuracies = personalize_set(fed.num_train_clients(),
-                                              /*novel=*/false, 0xA11,
-                                              /*id_offset=*/0);
-    if (personalize_novel && fed.num_novel_clients() > 0) {
-      result.novel_accuracies =
-          personalize_set(fed.num_novel_clients(), /*novel=*/true, 0xB22,
-                          /*id_offset=*/fed.num_train_clients());
-    }
-  }
+  Personalization personalization =
+      personalize_all(algorithm, fed, state, personalize_novel);
+  result.train_accuracies = std::move(personalization.train_accuracies);
+  result.novel_accuracies = std::move(personalization.novel_accuracies);
 
   result.traffic = router.stats();
   result.final_state = std::move(state);

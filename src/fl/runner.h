@@ -106,6 +106,22 @@ bool account_error_reply(bool client_pending, int& retries_used,
 // alpha = 0 disables discounting (w = 1 for all s).
 float staleness_weight(int staleness, float alpha);
 
+// Per-client accuracies of the personalization stage.
+struct Personalization {
+  std::vector<double> train_accuracies;  // per participating client
+  std::vector<double> novel_accuracies;  // per novel client
+};
+
+// The personalization stage on a trained global `state`: every participating
+// client (and, when `personalize_novel`, every novel client) personalizes on
+// its train shard and is evaluated on its test shard, in parallel on a pool
+// sized like the device pool. With config.personalize_cap > 0 each set is a
+// seeded sample of that many clients instead. run_federated calls it after
+// training; a caller holding a saved state calls it directly.
+Personalization personalize_all(Algorithm& algorithm, const FedDataset& fed,
+                                const nn::ModelState& state,
+                                bool personalize_novel);
+
 // Runs training + personalization. `personalize_novel` controls whether the
 // novel-client pass (paper Fig. 4 right column) is executed.
 RunResult run_federated(Algorithm& algorithm, const FedDataset& fed,

@@ -123,9 +123,14 @@ TEST_F(FedDataBuilder, SplitsTrainAndNovelClients) {
   EXPECT_EQ(fed.num_novel_clients(), 2);
   EXPECT_EQ(fed.num_classes, 4);
   EXPECT_EQ(fed.input_dim, 16);
-  for (const auto& shard : fed.train) EXPECT_EQ(shard.size(), 30);
-  for (const auto& shard : fed.test) EXPECT_EQ(shard.size(), 12);
-  for (const auto& shard : fed.novel_train) EXPECT_EQ(shard.size(), 30);
+  for (int c = 0; c < fed.num_train_clients(); ++c) {
+    EXPECT_EQ(fed.train_shard(c).size(), 30);
+    EXPECT_EQ(fed.test_shard(c).size(), 12);
+  }
+  for (int n = 0; n < fed.num_novel_clients(); ++n) {
+    EXPECT_EQ(fed.novel_train_shard(n).size(), 30);
+    EXPECT_EQ(fed.novel_test_shard(n).size(), 12);
+  }
 }
 
 TEST_F(FedDataBuilder, SslPoolsAreLatentsPlusUnlabeledShare) {
@@ -134,7 +139,8 @@ TEST_F(FedDataBuilder, SslPoolsAreLatentsPlusUnlabeledShare) {
   EXPECT_TRUE(fed.pool_is_latent);
   EXPECT_TRUE(fed.oracle.valid());
   // Each pool: 30 labeled latents + 120/4 = 30 unlabeled latents.
-  for (const auto& pool : fed.ssl_pool) {
+  for (int c = 0; c < fed.num_train_clients(); ++c) {
+    const tensor::Tensor pool = fed.client_ssl_pool(c, fed.train_shard(c));
     EXPECT_EQ(pool.rows(), 60);
     EXPECT_EQ(pool.cols(), 6);  // latent dim, not input dim
   }
@@ -146,26 +152,17 @@ TEST_F(FedDataBuilder, NoUnlabeledPoolFallsBackToLabeledOnly) {
   const data::SyntheticDataset no_pool = data::make_synthetic(config);
   rng::Generator gen(7);
   const FedDataset fed = build_fed_dataset(no_pool, partition_, 4, gen);
-  for (const auto& pool : fed.ssl_pool) {
-    EXPECT_EQ(pool.rows(), 30);
+  for (int c = 0; c < fed.num_train_clients(); ++c) {
+    EXPECT_EQ(fed.client_ssl_pool(c, fed.train_shard(c)).rows(), 30);
   }
 }
 
-// Virtual mode must be indistinguishable from the eager build through the
-// accessor interface: same shards, same SSL pools, bit for bit — that is
-// what makes the CLI's auto-switch at scale safe.
-TEST_F(FedDataBuilder, VirtualBuildIsBitIdenticalToEager) {
-  rng::Generator eager_gen(11);
-  rng::Generator virtual_gen(11);
-  const FedDataset eager = build_fed_dataset(synth_, partition_, 4, eager_gen);
-  const FedDataset lazy =
-      build_virtual_fed_dataset(synth_, partition_, 4, virtual_gen);
-  EXPECT_FALSE(eager.is_virtual());
-  EXPECT_TRUE(lazy.is_virtual());
-  ASSERT_EQ(lazy.num_train_clients(), eager.num_train_clients());
-  ASSERT_EQ(lazy.num_novel_clients(), eager.num_novel_clients());
-  EXPECT_EQ(lazy.pool_is_latent, eager.pool_is_latent);
-
+// Every accessor must return exactly what a direct build from the synthetic
+// splits gives: shards are subset()s of the split by the partition's
+// indices, and an SSL pool is the shard's latents followed by the client's
+// slice of an unlabeled order shuffled by a generator seeded like the
+// builder's.
+TEST_F(FedDataBuilder, ShardsAndPoolsMatchReferenceBuild) {
   auto expect_same_tensor = [](const tensor::Tensor& a,
                                const tensor::Tensor& b) {
     ASSERT_EQ(a.rows(), b.rows());
@@ -184,19 +181,52 @@ TEST_F(FedDataBuilder, VirtualBuildIsBitIdenticalToEager) {
     expect_same_tensor(a.latents, b.latents);
   };
 
-  data::Dataset scratch;
-  tensor::Tensor pool_scratch;
-  for (int c = 0; c < eager.num_train_clients(); ++c) {
-    expect_same_dataset(lazy.train_shard(c, scratch), eager.train[c]);
-    expect_same_dataset(lazy.test_shard(c, scratch), eager.test[c]);
-    expect_same_tensor(lazy.client_ssl_pool(c, pool_scratch),
-                       eager.ssl_pool[c]);
-  }
-  for (int n = 0; n < eager.num_novel_clients(); ++n) {
-    expect_same_dataset(lazy.novel_train_shard(n, scratch),
-                        eager.novel_train[n]);
-    expect_same_dataset(lazy.novel_test_shard(n, scratch),
-                        eager.novel_test[n]);
+  data::SyntheticConfig no_unlabeled_config = synth_.config;
+  no_unlabeled_config.unlabeled_samples = 0;
+  const data::SyntheticDataset no_unlabeled =
+      data::make_synthetic(no_unlabeled_config);
+  const data::SyntheticDataset* presets[] = {&synth_, &no_unlabeled};
+  for (const data::SyntheticDataset* synth : presets) {
+    SCOPED_TRACE(synth->unlabeled.size());
+    rng::Generator gen(11);
+    const FedDataset fed = build_fed_dataset(*synth, partition_, 4, gen);
+    ASSERT_EQ(fed.num_train_clients(), 4);
+    ASSERT_EQ(fed.num_novel_clients(), 2);
+    ASSERT_TRUE(fed.pool_is_latent);
+
+    std::vector<int> order(static_cast<std::size_t>(synth->unlabeled.size()));
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      order[i] = static_cast<int>(i);
+    }
+    rng::Generator reference_gen(11);
+    reference_gen.shuffle(order);
+    const std::size_t share = order.size() / 4;
+
+    for (int c = 0; c < 4; ++c) {
+      const std::size_t client = static_cast<std::size_t>(c);
+      const data::Dataset train =
+          synth->train.subset(partition_.train_indices[client]);
+      expect_same_dataset(fed.train_shard(c), train);
+      expect_same_dataset(fed.test_shard(c),
+                          synth->test.subset(partition_.test_indices[client]));
+      tensor::Tensor pool = train.latents;
+      if (share > 0) {
+        const std::vector<int> slice(
+            order.begin() + static_cast<std::ptrdiff_t>(client * share),
+            order.begin() + static_cast<std::ptrdiff_t>((client + 1) * share));
+        pool = tensor::concat_rows(
+            {pool, tensor::take_rows(synth->unlabeled.latents, slice)});
+      }
+      expect_same_tensor(fed.client_ssl_pool(c, fed.train_shard(c)), pool);
+    }
+    for (int n = 0; n < 2; ++n) {
+      const std::size_t client = static_cast<std::size_t>(4 + n);
+      expect_same_dataset(
+          fed.novel_train_shard(n),
+          synth->train.subset(partition_.train_indices[client]));
+      expect_same_dataset(fed.novel_test_shard(n),
+                          synth->test.subset(partition_.test_indices[client]));
+    }
   }
 }
 
@@ -326,9 +356,9 @@ class ToyAlgorithm : public Algorithm {
 
 FedDataset toy_fed(int clients) {
   FedDataset fed;
-  fed.train.resize(static_cast<std::size_t>(clients));
-  fed.test.resize(static_cast<std::size_t>(clients));
-  fed.ssl_pool.resize(static_cast<std::size_t>(clients));
+  fed.train_indices.resize(static_cast<std::size_t>(clients));
+  fed.test_indices.resize(static_cast<std::size_t>(clients));
+  fed.train_clients = clients;
   fed.num_classes = 2;
   fed.input_dim = 1;
   return fed;

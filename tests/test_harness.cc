@@ -49,8 +49,9 @@ TEST(Harness, WorkbenchIsDeterministic) {
   const Workbench b = build_workbench(setting, scale);
   ASSERT_EQ(a.fed.num_train_clients(), 4);
   ASSERT_EQ(a.fed.num_novel_clients(), 2);
-  EXPECT_TRUE(tensor::allclose(a.fed.train[0].x, b.fed.train[0].x));
-  EXPECT_EQ(a.fed.train[2].labels, b.fed.train[2].labels);
+  EXPECT_TRUE(
+      tensor::allclose(a.fed.train_shard(0).x, b.fed.train_shard(0).x));
+  EXPECT_EQ(a.fed.train_shard(2).labels, b.fed.train_shard(2).labels);
 }
 
 TEST(Harness, QuantityWorkbenchClampsClasses) {
@@ -89,7 +90,7 @@ TEST(Harness, SupervisedFeatureLayouts) {
   scale.samples_per_client = 20;
   scale.test_samples_per_client = 10;
   const Workbench workbench = build_workbench(setting, scale);
-  const tensor::Tensor x = workbench.fed.test[0].x;
+  const tensor::Tensor x = workbench.fed.test_shard(0).x;
 
   // Full-model layout (FedAvg).
   const fl::EncoderHeadModel model =
