@@ -1,5 +1,7 @@
 #include "algos/scaffold.h"
 
+#include <span>
+
 #include "common/check.h"
 
 namespace calibre::algos {
@@ -33,9 +35,10 @@ std::vector<float> split_back(const std::vector<float>& values,
 // Streams [model | delta_c] updates: the model half is a weighted mean (fold
 // w_i * x_i, normalise at finish), the control half an unweighted mean.
 // finish() advances the server control variate in place — called once, on
-// the merged root only. Both halves accumulate in exact fixed-point
-// (flapi/fixed_accum.h), so merge() of shard-local partials is bit-identical
-// to the flat fold for any shard split.
+// the merged root only. Both halves accumulate in one exact fixed-point
+// accumulator (flapi/fixed_accum.h), so a fold is rejected whole or applied
+// whole, and merge() of shard-local partials is bit-identical to the flat
+// fold for any shard split.
 class ScaffoldAggregator : public fl::StreamingAggregator {
  public:
   ScaffoldAggregator(std::size_t model_dim, std::vector<float>& server_control,
@@ -48,20 +51,11 @@ class ScaffoldAggregator : public fl::StreamingAggregator {
     CALIBRE_CHECK(update.state.size() == 2 * model_dim_);
     const double w = static_cast<double>(update.weight);
     CALIBRE_CHECK_MSG(w > 0.0, "non-positive aggregation weight");
-    CALIBRE_CHECK_LT(folded_, fl::fixedpoint::kMaxFolds,
-                     "too many folds for one accumulator");
-    if (acc_x_.empty()) {
-      acc_x_.assign(model_dim_, 0);
-      acc_delta_c_.assign(model_dim_, 0);
-    }
-    const std::vector<float>& values = update.state.values();
-    for (std::size_t i = 0; i < model_dim_; ++i) {
-      acc_x_[i] +=
-          fl::fixedpoint::quantize(w * static_cast<double>(values[i]));
-      acc_delta_c_[i] += fl::fixedpoint::quantize(
-          static_cast<double>(values[model_dim_ + i]));
-    }
-    total_weight_ += fl::fixedpoint::quantize(w);
+    const fl::fixedpoint::Acc quantized_weight = fl::fixedpoint::quantize(w);
+    const std::span<const float> values = update.state.values();
+    acc_.add({{w, values.first(model_dim_)},
+              {1.0, values.subspan(model_dim_)}});
+    total_weight_ += quantized_weight;
     ++folded_;
   }
 
@@ -75,11 +69,12 @@ class ScaffoldAggregator : public fl::StreamingAggregator {
     std::vector<float> packed(2 * model_dim_);
     for (std::size_t i = 0; i < model_dim_; ++i) {
       packed[i] =
-          static_cast<float>(fl::fixedpoint::to_double(acc_x_[i]) / total);
+          static_cast<float>(fl::fixedpoint::to_double(acc_.at(i)) / total);
+      const double delta_c_sum =
+          fl::fixedpoint::to_double(acc_.at(model_dim_ + i));
       server_control_[i] +=
           participation *
-          static_cast<float>(fl::fixedpoint::to_double(acc_delta_c_[i]) /
-                             static_cast<double>(folded_));
+          static_cast<float>(delta_c_sum / static_cast<double>(folded_));
       packed[model_dim_ + i] = server_control_[i];
     }
     return nn::ModelState(std::move(packed));
@@ -92,22 +87,9 @@ class ScaffoldAggregator : public fl::StreamingAggregator {
     CALIBRE_CHECK_MSG(rhs->model_dim_ == model_dim_ &&
                           &rhs->server_control_ == &server_control_,
                       "shard aggregators belong to different SCAFFOLD servers");
-    if (rhs->folded_ == 0) return;
-    CALIBRE_CHECK_LE(folded_ + rhs->folded_, fl::fixedpoint::kMaxFolds,
-                     "merged fold count exceeds the accumulator bound");
-    if (folded_ == 0) {
-      acc_x_ = std::move(rhs->acc_x_);
-      acc_delta_c_ = std::move(rhs->acc_delta_c_);
-    } else {
-      for (std::size_t i = 0; i < model_dim_; ++i) {
-        acc_x_[i] += rhs->acc_x_[i];
-        acc_delta_c_[i] += rhs->acc_delta_c_[i];
-      }
-    }
+    acc_.merge(std::move(rhs->acc_));
     total_weight_ += rhs->total_weight_;
     folded_ += rhs->folded_;
-    rhs->acc_x_.clear();
-    rhs->acc_delta_c_.clear();
     rhs->total_weight_ = 0;
     rhs->folded_ = 0;
   }
@@ -116,8 +98,7 @@ class ScaffoldAggregator : public fl::StreamingAggregator {
   std::size_t model_dim_;
   std::vector<float>& server_control_;
   int num_train_clients_;
-  std::vector<fl::fixedpoint::Acc> acc_x_;
-  std::vector<fl::fixedpoint::Acc> acc_delta_c_;
+  fl::fixedpoint::LimbAcc acc_;  // [model | delta_c] coordinates
   fl::fixedpoint::Acc total_weight_ = 0;
 };
 

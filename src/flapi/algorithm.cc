@@ -99,19 +99,9 @@ void WeightedStreamingAggregator::fold(ClientUpdate update) {
                        ? weight_of_(update)
                        : static_cast<double>(update.weight);
   CALIBRE_CHECK_MSG(w > 0.0, "non-positive aggregation weight");
-  CALIBRE_CHECK_LT(folded_, fixedpoint::kMaxFolds,
-                   "too many folds for one accumulator");
-  const std::vector<float>& values = update.state.values();
-  if (acc_.empty()) {
-    CALIBRE_CHECK_MSG(!values.empty(), "empty update state");
-    acc_.assign(values.size(), 0);
-  }
-  CALIBRE_CHECK_EQ(acc_.size(), values.size(),
-                   "update dimension changed mid-round");
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    acc_[i] += fixedpoint::quantize(w * static_cast<double>(values[i]));
-  }
-  total_weight_ += fixedpoint::quantize(w);
+  const fixedpoint::Acc quantized_weight = fixedpoint::quantize(w);
+  acc_.add({{w, update.state.values()}});
+  total_weight_ += quantized_weight;
   ++folded_;
 }
 
@@ -120,7 +110,7 @@ nn::ModelState WeightedStreamingAggregator::finish() {
   const double total = fixedpoint::to_double(total_weight_);
   std::vector<float> out(acc_.size());
   for (std::size_t i = 0; i < acc_.size(); ++i) {
-    out[i] = static_cast<float>(fixedpoint::to_double(acc_[i]) / total);
+    out[i] = static_cast<float>(fixedpoint::to_double(acc_.at(i)) / total);
   }
   return nn::ModelState(std::move(out));
 }
@@ -129,19 +119,9 @@ void WeightedStreamingAggregator::merge(StreamingAggregator&& other) {
   auto* rhs = dynamic_cast<WeightedStreamingAggregator*>(&other);
   CALIBRE_CHECK_MSG(rhs != nullptr && rhs != this,
                     "merge() needs a distinct WeightedStreamingAggregator");
-  if (rhs->folded_ == 0) return;  // merging the identity is a no-op
-  CALIBRE_CHECK_LE(folded_ + rhs->folded_, fixedpoint::kMaxFolds,
-                   "merged fold count exceeds the accumulator bound");
-  if (folded_ == 0) {
-    acc_ = std::move(rhs->acc_);
-  } else {
-    CALIBRE_CHECK_EQ(acc_.size(), rhs->acc_.size(),
-                     "shard accumulators disagree on update dimension");
-    for (std::size_t i = 0; i < acc_.size(); ++i) acc_[i] += rhs->acc_[i];
-  }
+  acc_.merge(std::move(rhs->acc_));
   total_weight_ += rhs->total_weight_;
   folded_ += rhs->folded_;
-  rhs->acc_.clear();
   rhs->total_weight_ = 0;
   rhs->folded_ = 0;
 }

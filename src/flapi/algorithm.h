@@ -135,7 +135,7 @@ class StreamingAggregator {
 };
 
 // Native streaming fold for the weighted-average family:
-//   acc[j] += quantize(w_i * x_i[j])   (exact fixed-point, O(model))
+//   acc[j] += quantize(w_i * x_i[j])   (exact fixed-point limbs, O(model))
 //   finish: out[j] = float(acc[j] / sum_i quantize(w_i))
 // `weight_of` maps an update to its unnormalised aggregation weight (> 0);
 // the default reads ClientUpdate::weight. Normalisation happens once at
@@ -155,7 +155,7 @@ class WeightedStreamingAggregator : public StreamingAggregator {
 
  private:
   WeightFn weight_of_;
-  std::vector<fixedpoint::Acc> acc_;
+  fixedpoint::LimbAcc acc_;
   fixedpoint::Acc total_weight_ = 0;
 };
 

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <set>
@@ -12,10 +13,12 @@
 
 #include <gtest/gtest.h>
 
+#include "algos/scaffold.h"
 #include "comm/codec.h"
 #include "comm/message.h"
 #include "common/check.h"
 #include "flapi/algorithm.h"
+#include "flapi/fixed_accum.h"
 #include "fl/update_codec.h"
 #include "fl/fed_data.h"
 #include "flapi/model.h"
@@ -1078,6 +1081,246 @@ TEST(MergeAlgebra, CustomWeightFnPartialsMergeExactly) {
   }
   even.merge(std::move(odd));
   EXPECT_EQ(even.finish().values(), flat.finish().values());
+}
+
+// --- exact fixed-point fold --------------------------------------------------
+
+using fixedpoint::Acc;
+using fixedpoint::LimbAcc;
+
+// The scalar reference the limb accumulator must reproduce: one __int128
+// per coordinate, each term quantized on its own.
+struct ReferenceFold {
+  std::vector<Acc> sums;
+  void add(double w, const std::vector<float>& x) {
+    sums.resize(x.size(), 0);
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      sums[i] += fixedpoint::quantize(w * static_cast<double>(x[i]));
+    }
+  }
+};
+
+void expect_sums_equal(const LimbAcc& acc, const std::vector<Acc>& reference,
+                       const std::string& label) {
+  ASSERT_EQ(acc.size(), reference.size()) << label;
+  for (std::size_t i = 0; i < reference.size(); ++i) {
+    // __int128 has no ostream overload; print the two 64-bit halves.
+    EXPECT_TRUE(acc.at(i) == reference[i])
+        << label << " coordinate " << i << ": hi "
+        << static_cast<std::int64_t>(acc.at(i) >> 64) << " vs "
+        << static_cast<std::int64_t>(reference[i] >> 64) << ", lo "
+        << static_cast<std::uint64_t>(acc.at(i)) << " vs "
+        << static_cast<std::uint64_t>(reference[i]);
+  }
+}
+
+// One adversarial fold per entry: a weight and the coordinates it scales.
+// Together they cover every binade of the domain, rounding at the grid's
+// last bit (tiny negatives that round to -1 ulp, ties to even), both signs
+// one double step below 2^42 and at 2^42 exactly, and float32 weights times
+// float values with full mantissas.
+std::vector<std::pair<double, std::vector<float>>> adversarial_folds() {
+  std::vector<std::pair<double, std::vector<float>>> folds;
+  const std::size_t dim = 2 * (42 + 80 + 1) + 8;
+  rng::Generator gen(0xF01D);
+  for (int k = 0; k < 12; ++k) {
+    std::vector<float> x;
+    x.reserve(dim);
+    for (int e = -80; e <= 42; ++e) {
+      const float mantissa =
+          1.0f + static_cast<float>(gen.uniform()) * 0.99f;
+      // |x| < 2^42 so a weight <= 1 keeps the term in the domain.
+      const float scaled = std::ldexp(mantissa, std::min(e, 41));
+      x.push_back((k + e) % 2 == 0 ? scaled : -scaled);
+      x.push_back(std::ldexp(k % 2 == 0 ? 1.0f : -1.0f, e));
+    }
+    // Grid-edge rounding (as seen with a unit weight).
+    x.push_back(-0x1p-65f);       // -1/2 ulp: ties to even, 0
+    x.push_back(-0x1.8p-65f);     // -3/4 ulp: rounds to -1 ulp
+    x.push_back(-0x1.2p-64f);     // -9/8 ulp: rounds to -1 ulp
+    x.push_back(0x1.8p-64f);      // 3/2 ulp: ties to even, +2 ulp
+    x.push_back(0x1p42f);         // the domain edge itself
+    x.push_back(-0x1p42f);
+    x.push_back(0x1.fffffep41f);  // one float step below 2^42
+    x.push_back(-0x1.fffffep41f);
+    EXPECT_EQ(x.size(), dim);
+    // Alternate exact unit weights, the largest double below 1 (turning
+    // 2^42 into 2^42 - 2^-11, one double step below the edge) and float32
+    // weights with full 24-bit mantissas.
+    double w = 1.0;
+    if (k % 3 == 1) w = std::nextafter(1.0, 0.0);
+    if (k % 3 == 2) {
+      w = static_cast<double>(0.5f + 0.5f * static_cast<float>(gen.uniform()));
+    }
+    folds.emplace_back(w, std::move(x));
+  }
+  return folds;
+}
+
+// The limb fold must equal a per-term __int128 quantize sum coordinate by
+// coordinate, flat and after uneven shard merges.
+TEST(FixedPointFold, LimbSumsEqualInt128Reference) {
+  const auto folds = adversarial_folds();
+  ReferenceFold reference;
+  LimbAcc flat;
+  for (const auto& [w, x] : folds) {
+    reference.add(w, x);
+    flat.add({{w, x}});
+    expect_sums_equal(flat, reference.sums, "flat");
+  }
+  EXPECT_EQ(flat.folds(), static_cast<int>(folds.size()));
+
+  // Shards of 1, 4 and 7 folds, merged in two different groupings.
+  for (const bool left_first : {true, false}) {
+    std::vector<LimbAcc> shards(3);
+    for (std::size_t k = 0; k < folds.size(); ++k) {
+      const std::size_t s = k == 0 ? 0 : (k < 5 ? 1 : 2);
+      shards[s].add({{folds[k].first, folds[k].second}});
+    }
+    if (left_first) {
+      shards[0].merge(std::move(shards[1]));
+      shards[0].merge(std::move(shards[2]));
+    } else {
+      shards[1].merge(std::move(shards[2]));
+      shards[0].merge(std::move(shards[1]));
+    }
+    EXPECT_EQ(shards[0].folds(), static_cast<int>(folds.size()));
+    EXPECT_EQ(shards[1].folds(), 0);
+    expect_sums_equal(shards[0], reference.sums,
+                      left_first ? "(a+b)+c" : "a+(b+c)");
+  }
+}
+
+// At the fold bound the limb sums are at their largest: 2^20 terms of
+// +-2^42 put +-2^62 into one hi limb, and 2^20 terms of +-(2^42 - 2^-11) fill
+// the mid limb with 2^20 (2^32 - 2^21). That must still be exact, and the
+// fold past the bound — folded or merged — must be refused.
+TEST(FixedPointFold, ExactAtTheFoldBoundAndRejectsOneMore) {
+  const std::vector<float> edge = {0x1p42f, -0x1p42f};
+  const std::vector<float> below = {0x1p42f, -0x1p42f, 0x1.8p-64f};
+  const double w_below = std::nextafter(1.0, 0.0);
+  const int bound = fixedpoint::kMaxFolds;
+  LimbAcc most;
+  for (int k = 0; k < bound - 1; ++k) most.add({{1.0, edge}, {w_below, below}});
+  LimbAcc last;
+  last.add({{1.0, edge}, {w_below, below}});
+  most.merge(std::move(last));
+  EXPECT_EQ(most.folds(), bound);
+
+  std::vector<Acc> expected;
+  for (const float v : edge) {
+    expected.push_back(static_cast<Acc>(bound) *
+                       fixedpoint::quantize(static_cast<double>(v)));
+  }
+  for (const float v : below) {
+    expected.push_back(static_cast<Acc>(bound) *
+                       fixedpoint::quantize(w_below * static_cast<double>(v)));
+  }
+  expect_sums_equal(most, expected, "2^20 folds");
+
+  EXPECT_THROW(most.add({{1.0, edge}, {w_below, below}}), CheckError);
+  LimbAcc one_more;
+  one_more.add({{1.0, edge}, {w_below, below}});
+  EXPECT_THROW(most.merge(std::move(one_more)), CheckError);
+  EXPECT_EQ(most.folds(), bound);
+  expect_sums_equal(most, expected, "after the refused fold");
+}
+
+// Runs `fold` and requires it to fail the 2^42 domain CHECK.
+void expect_domain_rejection(const std::function<void()>& fold,
+                             const std::string& label) {
+  try {
+    fold();
+    ADD_FAILURE() << label << ": out-of-domain term was folded";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("exceeds 2^42"), std::string::npos)
+        << label << ": " << e.what();
+  }
+}
+
+// The out-of-domain coordinates every aggregator must refuse: a finite
+// term past 2^42 and the non-finite values.
+const std::vector<std::pair<std::string, float>>& bad_coordinates() {
+  static const std::vector<std::pair<std::string, float>> bad = {
+      {"2^43", 0x1p43f},
+      {"+inf", std::numeric_limits<float>::infinity()},
+      {"-inf", -std::numeric_limits<float>::infinity()},
+      {"nan", std::numeric_limits<float>::quiet_NaN()}};
+  return bad;
+}
+
+// A rejected update is rejected whole: the pre-pass checks every term
+// before any limb is written, so finish() gives the bits of a fold that
+// never saw it — whether the bad coordinate is first or last.
+TEST(FixedPointFold, WeightedFoldRejectsOutOfDomainUpdateAtomically) {
+  WeightedStreamingAggregator reference;
+  for (int k = 0; k < 3; ++k) reference.fold(algebra_update(k));
+  const std::vector<float> expected = reference.finish().values();
+
+  for (const auto& [name, value] : bad_coordinates()) {
+    for (const bool last : {false, true}) {
+      const std::string label = name + (last ? " at last" : " at first");
+      WeightedStreamingAggregator fold;
+      fold.fold(algebra_update(0));
+      fold.fold(algebra_update(1));
+      ClientUpdate bad = algebra_update(2);
+      std::vector<float> values = bad.state.values();
+      values[last ? values.size() - 1 : 0] = value;
+      bad.state = nn::ModelState(std::move(values));
+      expect_domain_rejection([&] { fold.fold(bad); }, label);
+      EXPECT_EQ(fold.folded(), 2) << label;
+      fold.fold(algebra_update(2));
+      EXPECT_EQ(fold.finish().values(), expected) << label;
+    }
+  }
+}
+
+// Same contract for SCAFFOLD, whose update packs [model | delta_c] into one
+// accumulator: a bad model coordinate (first) or control coordinate (last)
+// leaves both halves untouched.
+TEST(FixedPointFold, ScaffoldFoldRejectsOutOfDomainUpdateAtomically) {
+  FlConfig config = toy_config(4);
+  config.encoder.input_dim = 4;
+  config.encoder.hidden_dims = {4};
+  config.encoder.feature_dim = 3;
+  config.num_classes = 2;
+  auto updates = [](const nn::ModelState& global) {
+    std::vector<ClientUpdate> out;
+    for (int k = 0; k < 3; ++k) {
+      ClientUpdate update;
+      std::vector<float> values = global.values();
+      for (std::size_t i = 0; i < values.size(); ++i) {
+        values[i] += 0.01f * static_cast<float>((i * 7 + k * 3) % 11) - 0.05f;
+      }
+      update.state = nn::ModelState(std::move(values));
+      update.weight = 2.0f + static_cast<float>(k);
+      out.push_back(std::move(update));
+    }
+    return out;
+  };
+  algos::Scaffold reference_algo(config, false);
+  const nn::ModelState global = reference_algo.initialize();
+  const std::vector<ClientUpdate> good = updates(global);
+  const std::vector<float> expected =
+      reference_algo.aggregate(global, good, 0).values();
+
+  for (const auto& [name, value] : bad_coordinates()) {
+    for (const bool last : {false, true}) {
+      const std::string label = name + (last ? " at last" : " at first");
+      algos::Scaffold algo(config, false);
+      auto fold = algo.make_aggregator(algo.initialize(), 0);
+      fold->fold(good[0]);
+      fold->fold(good[1]);
+      ClientUpdate bad = good[2];
+      std::vector<float> values = bad.state.values();
+      values[last ? values.size() - 1 : 0] = value;
+      bad.state = nn::ModelState(std::move(values));
+      expect_domain_rejection([&] { fold->fold(bad); }, label);
+      EXPECT_EQ(fold->folded(), 2) << label;
+      fold->fold(good[2]);
+      EXPECT_EQ(fold->finish().values(), expected) << label;
+    }
+  }
 }
 
 // --- sharded parallel fold ---------------------------------------------------

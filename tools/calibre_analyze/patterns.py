@@ -125,6 +125,17 @@ RESIDUAL_PATTERNS = [
 ]
 
 
+FIXED_ACCUM_PATTERNS = [
+    (re.compile(r"std::vector<\s*(?:\w+::)*fixedpoint::Acc\b"),
+     "a vector of per-coordinate fixedpoint::Acc regrows the per-term "
+     "__int128 quantize fold; accumulate vectors in fixedpoint::LimbAcc "
+     "(flapi/fixed_accum.h), the one vectorized exact fold"),
+    (re.compile(r"std::vector<\s*(?:signed\s+)?__int128\b"),
+     "a vector of __int128 sums is a second exact-fold path; accumulate "
+     "vectors in fixedpoint::LimbAcc (flapi/fixed_accum.h)"),
+]
+
+
 def _fl_except_update_codec(rel: str) -> bool:
     return rel.startswith("src/fl/") and rel not in (
         "src/fl/update_codec.h", "src/fl/update_codec.cc")
@@ -148,6 +159,10 @@ PATTERN_RULES = [
      _src_except("src/common/timer_queue.h", "src/common/timer_queue.cc"),
      SLEEP_PATTERNS),
     ("check-not-assert", _in_src, ASSERT_PATTERNS),
+    ("fixed-accum",
+     lambda rel: rel not in ("src/flapi/fixed_accum.h",
+                             "src/flapi/fixed_accum.cc"),
+     FIXED_ACCUM_PATTERNS),
 ]
 
 # serde-count-guard ---------------------------------------------------------
