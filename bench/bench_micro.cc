@@ -5,7 +5,8 @@
 //
 // In addition to the google-benchmark suite, main() always times the kernel
 // layer (blocked GEMM, fused-transpose variants, GEMM-based pairwise
-// distances, KMeans assignment, NT-Xent) against the seed's scalar
+// distances, KMeans assignment, the narrow shapes of Calibre's client step,
+// whole KMeans calls, NT-Xent) against the seed's scalar
 // reference kernels and dumps a machine-readable BENCH_kernels.json so
 // future PRs have a perf trajectory to regress against. Run with
 // --benchmark_filter=NONE to get just the JSON dump.
@@ -19,6 +20,7 @@
 #include <functional>
 #include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "autograd/ops.h"
@@ -26,8 +28,10 @@
 #include "comm/codec.h"
 #include "comm/router.h"
 #include "common/thread_pool.h"
+#include "core/calibre.h"
 #include "core/pfl_ssl.h"
 #include "core/prototype_loss.h"
+#include "data/dataset.h"
 #include "flapi/algorithm.h"
 #include "metrics/tsne.h"
 #include "nn/losses.h"
@@ -395,6 +399,79 @@ std::vector<KernelEntry> collect_kernel_entries() {
     }
   }
 
+  // The narrow shapes Calibre's client step runs (fewer than 16 output
+  // columns): prototype logits and per-batch KMeans distances against k = 10
+  // centroids, the m = 1 column of every k-means++ seeding step, and whole
+  // KMeans calls on a 32-row batch and a 500-row local set. KMeans has no
+  // scalar reference, so its entries carry no baseline; each call reseeds
+  // its generator so every timed call does the same work.
+  {
+    const auto batch = tensor::Tensor::randn(32, 64, gen);
+    const auto local_set = tensor::Tensor::randn(500, 64, gen);
+    const auto centroids = tensor::Tensor::randn(10, 64, gen);
+    const auto newest = tensor::slice_rows(centroids, 0, 1);
+    {
+      KernelEntry e;
+      e.name = "matmul_nt_32x64x10";
+      e.flops = 2.0 * 32 * 64 * 10;
+      e.seconds = time_best(
+          [&] { benchmark::DoNotOptimize(tensor::matmul_nt(batch, centroids)); },
+          200);
+      e.baseline_seconds = time_best(
+          [&] {
+            benchmark::DoNotOptimize(tensor::kernels::matmul_naive(
+                batch, tensor::transpose(centroids)));
+          },
+          200);
+      entries.push_back(e);
+    }
+    const struct {
+      const char* name;
+      const tensor::Tensor& points;
+      const tensor::Tensor& centers;
+    } dists[] = {{"pairwise_sq_dists_32x64_k1", batch, newest},
+                 {"pairwise_sq_dists_500x64_k10", local_set, centroids}};
+    for (const auto& d : dists) {
+      KernelEntry e;
+      e.name = d.name;
+      e.flops = 2.0 * static_cast<double>(d.points.rows()) * 64.0 *
+                static_cast<double>(d.centers.rows());
+      e.seconds = time_best(
+          [&] {
+            benchmark::DoNotOptimize(
+                tensor::pairwise_sq_dists(d.points, d.centers));
+          },
+          200);
+      e.baseline_seconds = time_best(
+          [&] {
+            benchmark::DoNotOptimize(
+                tensor::kernels::pairwise_sq_dists_naive(d.points, d.centers));
+          },
+          200);
+      entries.push_back(e);
+    }
+    const struct {
+      const char* name;
+      const tensor::Tensor& points;
+      int reps;
+    } clusterings[] = {{"kmeans_32x64_k10", batch, 200},
+                       {"kmeans_500x64_k10", local_set, 20}};
+    for (const auto& c : clusterings) {
+      cluster::KMeansConfig config;
+      config.k = 10;
+      KernelEntry e;
+      e.name = c.name;
+      e.seconds = time_best(
+          [&] {
+            rng::Generator kmeans_gen(99);
+            benchmark::DoNotOptimize(
+                cluster::kmeans(c.points, config, kmeans_gen));
+          },
+          c.reps);
+      entries.push_back(e);
+    }
+  }
+
   // NT-Xent forward+backward trajectory entry. No scalar baseline exists
   // for the full autograd graph, so the JSON writer omits the baseline and
   // speedup fields for this entry instead of reporting zeros. The flop
@@ -421,7 +498,8 @@ std::vector<KernelEntry> collect_kernel_entries() {
 }
 
 // One "{...}" JSON object line for a kernel entry. Entries without a
-// baseline (baseline_seconds == 0) drop the baseline/speedup fields rather
+// baseline (baseline_seconds == 0) drop the baseline/speedup fields, and
+// entries that are not flop kernels (flops == 0) the flop fields, rather
 // than reporting meaningless zeros.
 std::string kernel_entry_json(const KernelEntry& e, bool last) {
   const double gflops =
@@ -442,7 +520,7 @@ std::string kernel_entry_json(const KernelEntry& e, bool last) {
                   last ? "" : ",");
     std::printf("[kernels] %-32s %8.3f GFLOP/s  (baseline %8.3f, %.2fx)\n",
                 e.name.c_str(), gflops, baseline_gflops, speedup);
-  } else {
+  } else if (e.flops > 0.0) {
     std::snprintf(buffer, sizeof(buffer),
                   "      {\"name\": \"%s\", \"flops\": %.0f, "
                   "\"seconds\": %.6e, \"gflops\": %.3f}%s\n",
@@ -450,6 +528,12 @@ std::string kernel_entry_json(const KernelEntry& e, bool last) {
                   last ? "" : ",");
     std::printf("[kernels] %-32s %8.3f GFLOP/s  (no baseline)\n",
                 e.name.c_str(), gflops);
+  } else {
+    std::snprintf(buffer, sizeof(buffer),
+                  "      {\"name\": \"%s\", \"seconds\": %.6e}%s\n",
+                  e.name.c_str(), e.seconds, last ? "" : ",");
+    std::printf("[kernels] %-32s %8.1f us/call  (no baseline)\n",
+                e.name.c_str(), e.seconds * 1e6);
   }
   return buffer;
 }
@@ -460,7 +544,9 @@ std::string kernel_entry_json(const KernelEntry& e, bool last) {
 //             {"threads": N, "entries": [...]}]}
 void dump_kernel_json(const char* path) {
   std::ofstream out(path);
-  out << "{\n  \"generated_by\": \"bench_micro\",\n  \"runs\": [\n";
+  out << "{\n  \"generated_by\": \"bench_micro\",\n"
+      << "  \"hardware_threads\": " << std::thread::hardware_concurrency()
+      << ",\n  \"runs\": [\n";
   const int default_threads =
       static_cast<int>(common::ThreadPool::default_parallelism());
   const struct {
@@ -486,7 +572,8 @@ void dump_kernel_json(const char* path) {
 //
 // End-to-end cost of one full PflSsl::local_update (Algorithm 1's client
 // step: augment two views, SSL forward, backward, SGD step) per SSL method,
-// in three configurations:
+// plus Calibre (SimCLR), whose step adds the per-batch KMeans and prototype
+// losses and the closing divergence KMeans, in three configurations:
 //  * "pooled"   — fused graphs + tensor pool (this tree's training step);
 //  * "pool_off" — fused graphs, CALIBRE_TENSOR_POOL kill-switch off (every
 //                 buffer freshly allocated and zeroed), isolating the pool;
@@ -494,14 +581,16 @@ void dump_kernel_json(const char* path) {
 //                 off: the step as it ran before the pooled-storage +
 //                 fused-op layer existed, which is what the headline
 //                 "speedup" compares against.
-// steps/sec counts optimizer steps; allocations/step is the pool's miss
-// counter (real heap allocations on the calling thread) divided by the
-// optimizer steps in one call.
+// steps/sec counts optimizer steps; pool_misses_per_step is the tensor
+// pool's miss counter on the calling thread (tensor buffers the pool could
+// not serve from a free list, or every tensor buffer when the pool is off)
+// divided by the optimizer steps in one call. It counts tensor storage only,
+// not every heap allocation the step makes.
 
 struct TrainStepRun {
   double seconds_per_call = 0.0;
   double steps_per_sec = 0.0;
-  double allocs_per_step = 0.0;
+  double pool_misses_per_step = 0.0;
 };
 
 struct TrainStepEntry {
@@ -512,25 +601,35 @@ struct TrainStepEntry {
   TrainStepRun baseline;
 };
 
-TrainStepEntry time_train_step(ssl::Kind kind) {
+fl::FlConfig train_step_config() {
   fl::FlConfig config;
   config.local_epochs = 1;
   config.batch_size = 32;
   config.seed = 1234;
-  core::PflSsl algo(config, kind);
+  return config;
+}
+
+TrainStepEntry time_train_step(const std::string& method,
+                               core::PflSsl& algo) {
+  const fl::FlConfig config = train_step_config();
   const nn::ModelState global = algo.initialize();
 
   rng::Generator gen(55);
-  const tensor::Tensor ssl_pool =
-      tensor::Tensor::randn(256, config.encoder.input_dim, gen);
+  // The local shard doubles as the SSL pool; Calibre's closing divergence
+  // KMeans reads its inputs (the labels are unused).
+  data::Dataset shard;
+  shard.x = tensor::Tensor::randn(256, config.encoder.input_dim, gen);
+  shard.labels.assign(256, -1);
+  const tensor::Tensor& ssl_pool = shard.x;
   fl::ClientContext ctx;
   ctx.client_id = 0;
   ctx.round = 0;
+  ctx.train = &shard;
   ctx.ssl_pool = &ssl_pool;
   ctx.seed = 77;
 
   TrainStepEntry entry;
-  entry.method = ssl::kind_name(kind);
+  entry.method = method;
   entry.steps_per_call =
       static_cast<int>((ssl_pool.rows() + config.batch_size - 1) /
                        config.batch_size) *
@@ -547,7 +646,7 @@ TrainStepEntry time_train_step(ssl::Kind kind) {
     one_call();
     const tensor::pool::Stats stats = tensor::pool::thread_stats();
     TrainStepRun run;
-    run.allocs_per_step = static_cast<double>(stats.misses) /
+    run.pool_misses_per_step = static_cast<double>(stats.misses) /
                           static_cast<double>(entry.steps_per_call);
     run.seconds_per_call = time_best(one_call, 5);
     run.steps_per_sec =
@@ -563,15 +662,21 @@ TrainStepEntry time_train_step(ssl::Kind kind) {
 }
 
 void dump_train_step_json(const char* path) {
-  const ssl::Kind kinds[] = {ssl::Kind::kSimClr, ssl::Kind::kByol,
-                             ssl::Kind::kSimSiam};
+  const fl::FlConfig config = train_step_config();
   std::vector<TrainStepEntry> entries;
-  for (const ssl::Kind kind : kinds) entries.push_back(time_train_step(kind));
+  for (const ssl::Kind kind :
+       {ssl::Kind::kSimClr, ssl::Kind::kByol, ssl::Kind::kSimSiam}) {
+    core::PflSsl algo(config, kind);
+    entries.push_back(time_train_step(ssl::kind_name(kind), algo));
+  }
+  core::Calibre calibre(config, ssl::Kind::kSimClr);
+  entries.push_back(time_train_step(calibre.name(), calibre));
 
   std::ofstream out(path);
   out << "{\n  \"generated_by\": \"bench_micro\",\n"
       << "  \"suite\": \"train_step\",\n"
-      << "  \"threads\": " << common::ThreadPool::default_parallelism()
+      << "  \"hardware_threads\": " << std::thread::hardware_concurrency()
+      << ",\n  \"threads\": " << common::ThreadPool::default_parallelism()
       << ",\n  \"local_epochs\": 1,\n  \"batch_size\": 32,\n"
       << "  \"pool_rows\": 256,\n  \"methods\": [\n";
   for (std::size_t i = 0; i < entries.size(); ++i) {
@@ -584,41 +689,42 @@ void dump_train_step_json(const char* path) {
         e.pool_off.steps_per_sec > 0.0
             ? e.pooled.steps_per_sec / e.pool_off.steps_per_sec
             : 0.0;
-    // A fully warm pool serves an entire call with zero heap allocations, so
-    // floor the denominator at "one allocation per call": the reported
-    // reduction is then a lower bound rather than a division by zero.
+    // A fully warm pool serves an entire call without a miss, so floor the
+    // denominator at "one miss per call": the reported reduction is then a
+    // lower bound rather than a division by zero.
     const double pooled_floor =
-        std::max(e.pooled.allocs_per_step,
+        std::max(e.pooled.pool_misses_per_step,
                  1.0 / static_cast<double>(e.steps_per_call));
-    const double alloc_reduction = e.baseline.allocs_per_step / pooled_floor;
+    const double miss_reduction =
+        e.baseline.pool_misses_per_step / pooled_floor;
     char buffer[1024];
     std::snprintf(
         buffer, sizeof(buffer),
         "    {\"method\": \"%s\", \"steps_per_call\": %d,\n"
         "     \"pooled\": {\"seconds_per_call\": %.6e, "
-        "\"steps_per_sec\": %.2f, \"allocs_per_step\": %.1f},\n"
+        "\"steps_per_sec\": %.2f, \"pool_misses_per_step\": %.1f},\n"
         "     \"pool_off\": {\"seconds_per_call\": %.6e, "
-        "\"steps_per_sec\": %.2f, \"allocs_per_step\": %.1f},\n"
+        "\"steps_per_sec\": %.2f, \"pool_misses_per_step\": %.1f},\n"
         "     \"baseline\": {\"seconds_per_call\": %.6e, "
-        "\"steps_per_sec\": %.2f, \"allocs_per_step\": %.1f},\n"
+        "\"steps_per_sec\": %.2f, \"pool_misses_per_step\": %.1f},\n"
         "     \"speedup\": %.2f, \"pool_only_speedup\": %.2f, "
-        "\"alloc_reduction_at_least\": %.1f}%s\n",
+        "\"pool_miss_reduction_at_least\": %.1f}%s\n",
         e.method.c_str(), e.steps_per_call, e.pooled.seconds_per_call,
-        e.pooled.steps_per_sec, e.pooled.allocs_per_step,
+        e.pooled.steps_per_sec, e.pooled.pool_misses_per_step,
         e.pool_off.seconds_per_call, e.pool_off.steps_per_sec,
-        e.pool_off.allocs_per_step, e.baseline.seconds_per_call,
-        e.baseline.steps_per_sec, e.baseline.allocs_per_step, speedup,
-        pool_only_speedup, alloc_reduction,
+        e.pool_off.pool_misses_per_step, e.baseline.seconds_per_call,
+        e.baseline.steps_per_sec, e.baseline.pool_misses_per_step, speedup,
+        pool_only_speedup, miss_reduction,
         i + 1 < entries.size() ? "," : "");
     out << buffer;
     std::printf(
-        "[train_step] %-10s %8.1f steps/s pooled vs %8.1f pool-off vs "
+        "[train_step] %-16s %8.1f steps/s pooled vs %8.1f pool-off vs "
         "%8.1f baseline (%.2fx, pool-only %.2fx), %5.1f vs %5.1f "
-        "allocs/step (>=%.0fx fewer)\n",
+        "pool misses/step (>=%.0fx fewer)\n",
         e.method.c_str(), e.pooled.steps_per_sec, e.pool_off.steps_per_sec,
         e.baseline.steps_per_sec, speedup, pool_only_speedup,
-        e.pooled.allocs_per_step, e.baseline.allocs_per_step,
-        alloc_reduction);
+        e.pooled.pool_misses_per_step, e.baseline.pool_misses_per_step,
+        miss_reduction);
   }
   out << "  ]\n}\n";
   std::printf("[train_step] wrote %s\n", path);
@@ -791,6 +897,8 @@ void dump_comm_json(const char* path) {
   std::ofstream out(path);
   out << "{\n  \"generated_by\": \"bench_micro\",\n"
       << "  \"suite\": \"comm\",\n"
+      << "  \"hardware_threads\": " << std::thread::hardware_concurrency()
+      << ",\n"
       << "  \"model_params\": " << state.size() << ",\n"
       << "  \"round_clients\": " << kRoundClients << ",\n"
       << "  \"broadcast\": [\n";

@@ -103,41 +103,84 @@ inline void microtile(std::int64_t i, std::int64_t k, const float* a,
   }
 }
 
-// Macro kernel: rows [i0, i1) x columns [cj, cj + jw) of C, reading B
-// columns [bj, bj + jw) with row stride ldb. Full 32-wide tiles, then a
-// 16-wide strip, then a scalar streaming tail for the last jw % 16 columns.
-template <typename AIndex>
-inline void gemm_block(std::int64_t i0, std::int64_t i1, std::int64_t k,
-                       const float* a, AIndex ai, const float* b,
-                       std::int64_t ldb, std::int64_t bj, float* c,
-                       std::int64_t ldc, std::int64_t cj, std::int64_t jw) {
-  std::int64_t j = 0;
-  for (; j + kColTile <= jw; j += kColTile) {
-    const float* bs = b + bj + j;
-    std::int64_t i = i0;
-    for (; i + kRowTile <= i1; i += kRowTile) {
-      microtile<kRowTile, 2>(i, k, a, ai, bs, ldb, c, ldc, cj + j);
-    }
-    for (; i < i1; ++i) microtile<1, 2>(i, k, a, ai, bs, ldb, c, ldc, cj + j);
-  }
-  for (; j + kVecWidth <= jw; j += kVecWidth) {
-    const float* bs = b + bj + j;
-    std::int64_t i = i0;
-    for (; i + kRowTile <= i1; i += kRowTile) {
-      microtile<kRowTile, 1>(i, k, a, ai, bs, ldb, c, ldc, cj + j);
-    }
-    for (; i < i1; ++i) microtile<1, 1>(i, k, a, ai, bs, ldb, c, ldc, cj + j);
-  }
-  if (j < jw) {
-    for (std::int64_t i = i0; i < i1; ++i) {
-      float* crow = c + i * ldc + cj;
-      for (std::int64_t kk = 0; kk < k; ++kk) {
-        const float av = a[ai.index(i, kk)];
-        const float* brow = b + kk * ldb + bj;
-        for (std::int64_t jj = j; jj < jw; ++jj) crow[jj] += av * brow[jj];
+// The narrow tail reads the B scalar feeding output column j at step kk
+// through one of these, as microtile reads A through AIndex: a row-major
+// [k, ldb] operand, or B^T read in place from a row-major [m, k] operand.
+struct RowMajorB {
+  const float* b;
+  std::int64_t ldb;
+  float at(std::int64_t kk, std::int64_t j) const { return b[kk * ldb + j]; }
+};
+struct TransB {
+  const float* b;
+  std::int64_t k;  // row length of the [m, k] operand
+  float at(std::int64_t kk, std::int64_t j) const { return b[j * k + kk]; }
+};
+
+// K steps per packed A strip: 256 x 16 floats = 16 KiB of stack, L1-resident.
+constexpr std::int64_t kTailKBlock = 256;
+
+// Output columns [j0, j1) (fewer than 16) of rows [i0, i1), vectorized
+// across rows instead of columns. A strip of up to 16 rows of A is packed
+// k-major (lane r holds row i + r; lanes past the last row stay zero), and
+// each output column gets one accumulator whose lane r is C(i + r, j): it
+// starts from C's current value and adds splat(B(kk, j)) * A(i + r, kk) in
+// plain k order. That is exactly the per-element sequence of the scalar
+// loop `c[i][j] += a[i][kk] * b[kk][j]` (the same FMA contraction per
+// clone), so each stored element has the scalar loop's bits. Between
+// k-blocks the accumulators round-trip through C, which is exact. Only the
+// strip's real rows are stored back.
+template <typename AIndex, typename BIndex>
+inline void narrow_tail(std::int64_t i0, std::int64_t i1, std::int64_t k,
+                        const float* a, AIndex ai, BIndex bi, float* c,
+                        std::int64_t ldc, std::int64_t j0, std::int64_t j1) {
+  alignas(64) float ap[kTailKBlock * kVecWidth];
+  for (std::int64_t i = i0; i < i1; i += kVecWidth) {
+    const std::int64_t rows = std::min(kVecWidth, i1 - i);
+    for (std::int64_t k0 = 0; k0 < k; k0 += kTailKBlock) {
+      const std::int64_t kb = std::min(kTailKBlock, k - k0);
+      if (rows < kVecWidth) std::fill(ap, ap + kb * kVecWidth, 0.0f);
+      for (std::int64_t r = 0; r < rows; ++r) {
+        for (std::int64_t kk = 0; kk < kb; ++kk) {
+          ap[kk * kVecWidth + r] = a[ai.index(i + r, k0 + kk)];
+        }
+      }
+      for (std::int64_t j = j0; j < j1; ++j) {
+        vf acc = {};
+        for (std::int64_t r = 0; r < rows; ++r) acc[r] = c[(i + r) * ldc + j];
+        for (std::int64_t kk = 0; kk < kb; ++kk) {
+          acc += splat(bi.at(k0 + kk, j)) * *vload(ap + kk * kVecWidth);
+        }
+        for (std::int64_t r = 0; r < rows; ++r) c[(i + r) * ldc + j] = acc[r];
       }
     }
   }
+}
+
+// Macro kernel: rows [i0, i1) x columns [0, jw) of C, reading B with row
+// stride ldb. Full 32-wide tiles, then a 16-wide strip, then the narrow
+// tail for the last jw % 16 columns.
+template <typename AIndex>
+inline void gemm_block(std::int64_t i0, std::int64_t i1, std::int64_t k,
+                       const float* a, AIndex ai, const float* b,
+                       std::int64_t ldb, float* c, std::int64_t ldc,
+                       std::int64_t jw) {
+  std::int64_t j = 0;
+  for (; j + kColTile <= jw; j += kColTile) {
+    std::int64_t i = i0;
+    for (; i + kRowTile <= i1; i += kRowTile) {
+      microtile<kRowTile, 2>(i, k, a, ai, b + j, ldb, c, ldc, j);
+    }
+    for (; i < i1; ++i) microtile<1, 2>(i, k, a, ai, b + j, ldb, c, ldc, j);
+  }
+  for (; j + kVecWidth <= jw; j += kVecWidth) {
+    std::int64_t i = i0;
+    for (; i + kRowTile <= i1; i += kRowTile) {
+      microtile<kRowTile, 1>(i, k, a, ai, b + j, ldb, c, ldc, j);
+    }
+    for (; i < i1; ++i) microtile<1, 1>(i, k, a, ai, b + j, ldb, c, ldc, j);
+  }
+  if (j < jw) narrow_tail(i0, i1, k, a, ai, RowMajorB{b, ldb}, c, ldc, j, jw);
 }
 
 // Per-chunk entry points. target_clones compiles each body (with the
@@ -159,23 +202,29 @@ inline void gemm_block(std::int64_t i0, std::int64_t i1, std::int64_t k,
 CALIBRE_KERNEL_CLONES
 void gemm_chunk_nn(std::int64_t i0, std::int64_t i1, std::int64_t k,
                    std::int64_t m, const float* a, const float* b, float* c) {
-  gemm_block(i0, i1, k, a, NoTransA{k}, b, m, 0, c, m, 0, m);
+  gemm_block(i0, i1, k, a, NoTransA{k}, b, m, c, m, m);
 }
 
 CALIBRE_KERNEL_CLONES
 void gemm_chunk_tn(std::int64_t i0, std::int64_t i1, std::int64_t n,
                    std::int64_t k, std::int64_t m, const float* a,
                    const float* b, float* c) {
-  gemm_block(i0, i1, k, a, TransA{n}, b, m, 0, c, m, 0, m);
+  gemm_block(i0, i1, k, a, TransA{n}, b, m, c, m, m);
 }
 
-// A*B^T: both operands contract along contiguous rows, so the kernel packs
-// a kColTile-wide panel of B^T at a time (k x 32 floats, L1/L2 resident)
-// and reuses the plain microkernel on the packed panel. Packing is O(k*m)
-// against O(rows*k*m) compute — amortised across the chunk's rows.
+// A*B^T: both operands contract along contiguous rows. Below 16 output
+// columns there is no microtile to feed, so the narrow tail reads B^T rows
+// in place. Otherwise the kernel packs a kColTile-wide panel of B^T at a
+// time (k x 32 floats, L1/L2 resident) and reuses the plain microkernel on
+// the packed panel. Packing is O(k*m) against O(rows*k*m) compute —
+// amortised across the chunk's rows.
 CALIBRE_KERNEL_CLONES
 void gemm_chunk_nt(std::int64_t i0, std::int64_t i1, std::int64_t k,
                    std::int64_t m, const float* a, const float* b, float* c) {
+  if (m < kVecWidth) {
+    narrow_tail(i0, i1, k, a, NoTransA{k}, TransB{b, k}, c, m, 0, m);
+    return;
+  }
   const std::int64_t panel = std::min(kColTile, m);
   std::vector<float> packed(static_cast<std::size_t>(k * panel));
   for (std::int64_t j0 = 0; j0 < m; j0 += kColTile) {
@@ -184,7 +233,7 @@ void gemm_chunk_nt(std::int64_t i0, std::int64_t i1, std::int64_t k,
       const float* brow = b + (j0 + jj) * k;
       for (std::int64_t kk = 0; kk < k; ++kk) packed[kk * jw + jj] = brow[kk];
     }
-    gemm_block(i0, i1, k, a, NoTransA{k}, packed.data(), jw, 0, c, m, j0, jw);
+    gemm_block(i0, i1, k, a, NoTransA{k}, packed.data(), jw, c + j0, m, jw);
   }
 }
 
@@ -272,6 +321,22 @@ void row_sq_norms(std::int64_t n, std::int64_t k, const float* a, float* out) {
   row_sq_norms_impl(n, k, a, out);
 }
 
+void sq_dists(std::int64_t n, std::int64_t k, std::int64_t m, const float* a,
+              const float* a_sq, const float* b, const float* b_sq,
+              float* out) {
+  // ||x - y||^2 = ||x||^2 + ||y||^2 - 2 x.y — one GEMM instead of an O(n*m*k)
+  // scalar loop. Float cancellation can leave tiny negatives where the true
+  // distance is ~0; clamp, since callers treat the result as a distance.
+  std::fill(out, out + n * m, 0.0f);
+  gemm_nt(n, k, m, a, b, out);
+  for (std::int64_t i = 0; i < n; ++i) {
+    float* row = out + i * m;
+    for (std::int64_t j = 0; j < m; ++j) {
+      row[j] = std::max(a_sq[i] + b_sq[j] - 2.0f * row[j], 0.0f);
+    }
+  }
+}
+
 }  // namespace calibre::tensor::kernels
 
 // --- Tensor-level wrappers (declared in tensor.h) ------------------------------
@@ -303,24 +368,13 @@ Tensor pairwise_sq_dists(const Tensor& a, const Tensor& b) {
   const std::int64_t n = a.rows();
   const std::int64_t m = b.rows();
   const std::int64_t k = a.cols();
-  // ||x - y||^2 = ||x||^2 + ||y||^2 - 2 x.y — one GEMM instead of an O(n*m*k)
-  // scalar loop. Float cancellation can leave tiny negatives where the true
-  // distance is ~0; clamp, since callers treat the result as a distance.
   std::vector<float> a_sq(static_cast<std::size_t>(n), 0.0f);
   std::vector<float> b_sq(static_cast<std::size_t>(m), 0.0f);
   kernels::row_sq_norms(n, k, a.data(), a_sq.data());
   kernels::row_sq_norms(m, k, b.data(), b_sq.data());
-  Tensor out(n, m);
-  kernels::gemm_nt(n, k, m, a.data(), b.data(), out.data());
-  float* od = out.data();
-  for (std::int64_t i = 0; i < n; ++i) {
-    float* row = od + i * m;
-    const float ai = a_sq[static_cast<std::size_t>(i)];
-    for (std::int64_t j = 0; j < m; ++j) {
-      row[j] = std::max(ai + b_sq[static_cast<std::size_t>(j)] - 2.0f * row[j],
-                        0.0f);
-    }
-  }
+  Tensor out = Tensor::uninit(n, m);
+  kernels::sq_dists(n, k, m, a.data(), a_sq.data(), b.data(), b_sq.data(),
+                    out.data());
   return out;
 }
 

@@ -19,13 +19,26 @@
 //    with GCC vector extensions and compiled via target_clones for
 //    AVX-512 / AVX2 / baseline x86-64 — the loader picks the widest clone
 //    the CPU supports, so the binary stays portable.
+//  * narrow tail: the last m % 16 output columns (all of them when m < 16:
+//    Calibre's k = 10 prototypes, the m = 1 k-means++ seeding column) are
+//    vectorized across rows instead. A strip of up to 16 rows of A is
+//    packed k-major into a stack buffer (k-blocks of 256), and each output
+//    column keeps one 16-lane accumulator, lane r = C(i+r, j), that starts
+//    from C's current value and adds splat(B(kk, j)) * A(i+r, kk) in plain
+//    k order. That is the scalar loop c[i][j] += a[i][kk] * b[kk][j]
+//    element for element, with the same FMA contraction per clone, so the
+//    tail's bits equal the scalar loop's (and, from a zero C, the
+//    microtile's). B is read through an index functor, as A is.
 //  * gemm_nt: both operands contract along contiguous rows, so the kernel
 //    packs one kColTile-wide panel of B^T at a time (k x 32 floats,
 //    cache-resident; O(k*m) packing against O(n*k*m) compute) and reuses
-//    the plain microkernel on the packed panel.
-//  * pairwise_sq_dists: the ||a||^2 + ||b||^2 - 2 a.b^T decomposition; the
-//    cross term is a gemm_nt, the norms are single vectorized passes, and
-//    the combine clamps tiny negative float residue to zero.
+//    the plain microkernel on the packed panel. Below 16 output columns
+//    there is no microtile to feed: the narrow tail reads B^T rows in place
+//    and nothing is packed or allocated.
+//  * sq_dists / pairwise_sq_dists: the ||a||^2 + ||b||^2 - 2 a.b^T
+//    decomposition; the cross term is a gemm_nt, the norms are single
+//    vectorized passes, and the combine clamps tiny negative float residue
+//    to zero.
 //
 // Parallelism: kernels whose flop count exceeds parallel_flop_threshold()
 // are row-partitioned over a process-wide ThreadPool via parallel_for.
@@ -74,6 +87,14 @@ void gemm_tn(std::int64_t n, std::int64_t k, std::int64_t m, const float* a,
 
 // out[i] += sum_j a[i,j]^2 for each of the n rows of a[n,k].
 void row_sq_norms(std::int64_t n, std::int64_t k, const float* a, float* out);
+
+// out[i,j] = max(a_sq[i] + b_sq[j] - 2 a[i,:].b[j,:], 0) for a[n,k] and
+// b[m,k], given their squared row norms (row_sq_norms). `out` [n,m] is
+// overwritten. tensor::pairwise_sq_dists and the KMeans workspace both
+// compute their distances here, so they agree bit for bit.
+void sq_dists(std::int64_t n, std::int64_t k, std::int64_t m, const float* a,
+              const float* a_sq, const float* b, const float* b_sq,
+              float* out);
 
 // --- naive references --------------------------------------------------------
 // The seed's scalar implementations, kept verbatim as the golden reference

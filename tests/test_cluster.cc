@@ -1,5 +1,7 @@
 // Tests for KMeans and the cluster-quality metrics.
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -185,6 +187,79 @@ TEST(Quality, NmiProperties) {
   const std::vector<int> other = {0, 1, 0, 1, 2, 2};
   EXPECT_NEAR(normalized_mutual_information(other, labels),
               normalized_mutual_information(labels, other), 1e-12);
+}
+
+// 64-bit FNV-1a over raw bytes.
+std::uint64_t fnv1a_bytes(const void* data, std::size_t bytes) {
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < bytes; ++i) {
+    hash ^= p[i];
+    hash *= 0x100000001b3ull;
+  }
+  return hash;
+}
+
+// Pins kmeans' exact output on the shapes Calibre runs it at: a 32x64
+// per-batch embedding and a 500x64 local set, k = 10, plus a 32x64 input
+// with only 4 distinct rows (degenerate seeding, empty-cluster reseed). The
+// values were recorded from the implementation that allocated a Tensor per
+// Lloyd iteration and a row copy per seeding step; the per-call workspace
+// must reproduce them bit for bit, including how far it advances the RNG.
+// The bits are those of the FMA kernel clones (x86-64-v3 and v4); the
+// baseline clone rounds without FMA, so the test skips on CPUs without it.
+TEST(KMeans, OutputBitsPinnedAtCalibreShapes) {
+  if (!__builtin_cpu_supports("avx2") || !__builtin_cpu_supports("fma")) {
+    GTEST_SKIP() << "pinned bits are the FMA kernel clones'";
+  }
+  struct Golden {
+    int rows;
+    std::uint64_t points_seed;
+    std::uint64_t kmeans_seed;
+    int distinct_rows;  // 0: all rows random
+    std::uint64_t centroid_hash;
+    std::uint64_t assignment_hash;
+    std::uint32_t mean_distance_bits;
+    int iterations;
+    std::uint64_t next_draw;  // gen.uniform_index(1000000) afterwards
+  };
+  const Golden cases[] = {
+      {32, 11, 101, 0, 0xb410041c713e5317ull, 0x3cbcb08c752071eeull,
+       0x40bcec76u, 2, 842574},
+      {32, 12, 102, 0, 0xa974931ea550f1eeull, 0x11359c0e76e5d148ull,
+       0x40bd5ddau, 2, 841969},
+      {500, 13, 103, 0, 0x849f44bdfa3ca455ull, 0x0e0988d5808a18c0ull,
+       0x40f3fba5u, 15, 354306},
+      {500, 14, 104, 0, 0x4f1823cf690b8451ull, 0x9690c1aa15d73265ull,
+       0x40f477f2u, 15, 415623},
+      {32, 15, 105, 4, 0x3de077a20b89d7d3ull, 0x2036ceaadda4f8a5ull,
+       0x3af746eau, 2, 302908},
+  };
+  for (const Golden& g : cases) {
+    SCOPED_TRACE(::testing::Message() << g.rows << "x64, points seed "
+                                      << g.points_seed);
+    rng::Generator data_gen(g.points_seed);
+    Tensor points = Tensor::randn(g.rows, 64, data_gen);
+    for (int i = g.distinct_rows; g.distinct_rows > 0 && i < g.rows; ++i) {
+      for (int j = 0; j < 64; ++j) points(i, j) = points(i % g.distinct_rows, j);
+    }
+    rng::Generator gen(g.kmeans_seed);
+    KMeansConfig config;
+    config.k = 10;
+    const KMeansResult result = kmeans(points, config, gen);
+    std::uint32_t mean_distance_bits = 0;
+    std::memcpy(&mean_distance_bits, &result.mean_distance, 4);
+    EXPECT_EQ(fnv1a_bytes(result.centroids.data(),
+                          static_cast<std::size_t>(result.centroids.size()) *
+                              sizeof(float)),
+              g.centroid_hash);
+    EXPECT_EQ(fnv1a_bytes(result.assignments.data(),
+                          result.assignments.size() * sizeof(int)),
+              g.assignment_hash);
+    EXPECT_EQ(mean_distance_bits, g.mean_distance_bits);
+    EXPECT_EQ(result.iterations, g.iterations);
+    EXPECT_EQ(gen.uniform_index(1000000), g.next_draw);
+  }
 }
 
 // Parameterized: purity never decreases when clusters are split further.

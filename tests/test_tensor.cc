@@ -1,6 +1,11 @@
 // Unit tests for the tensor library: construction, elementwise ops with
 // broadcasting, linear algebra, reductions, structural ops and error paths.
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -339,6 +344,180 @@ TEST(KernelGolden, PairwiseIsNonNegativeOnDuplicateRows) {
 TEST(KernelGolden, MatmulNTShapeChecks) {
   EXPECT_THROW(matmul_nt(Tensor(2, 3), Tensor(4, 5)), CheckError);
   EXPECT_THROW(matmul_tn(Tensor(2, 3), Tensor(4, 3)), CheckError);
+}
+
+// --- narrow outputs ------------------------------------------------------------
+//
+// The last m % 16 output columns of every GEMM run the row-vectorized narrow
+// tail; gemm_nt below 16 columns reads B^T in place instead of packing it.
+// The tail must reproduce the scalar loop's per-element bits, which the
+// tests below pin bitwise against three independent routes to the same
+// elements. The sweep covers m from 1 to 47 (tails of 1..15 columns, after
+// zero, one or two microtiles), row counts around the 16-row strip, and k
+// on both sides of the tail's 256-step k-block.
+
+enum class GemmOp { kNN, kNT, kTN };
+
+const char* gemm_op_name(GemmOp op) {
+  switch (op) {
+    case GemmOp::kNN:
+      return "gemm";
+    case GemmOp::kNT:
+      return "gemm_nt";
+    case GemmOp::kTN:
+      return "gemm_tn";
+  }
+  return "?";
+}
+
+// c += A[n,k] * B[k,m] through the raw kernel `op`, handing it the operand
+// layout it expects (B^T rows for gemm_nt, A^T rows for gemm_tn). C sits in
+// a buffer with 16 guard rows after it, one strip's worth, filled with a
+// sentinel: a padding lane stored past the last row fails the test.
+Tensor run_gemm(GemmOp op, const Tensor& a, const Tensor& b, const Tensor& c) {
+  constexpr std::int64_t kGuardRows = 16;
+  constexpr float kSentinel = -12345.5f;
+  const std::int64_t n = a.rows();
+  const std::int64_t k = a.cols();
+  const std::int64_t m = b.cols();
+  std::vector<float> out(static_cast<std::size_t>((n + kGuardRows) * m),
+                         kSentinel);
+  std::copy(c.data(), c.data() + c.size(), out.begin());
+  switch (op) {
+    case GemmOp::kNN:
+      kernels::gemm(n, k, m, a.data(), b.data(), out.data());
+      break;
+    case GemmOp::kNT: {
+      const Tensor bt = transpose(b);
+      kernels::gemm_nt(n, k, m, a.data(), bt.data(), out.data());
+      break;
+    }
+    case GemmOp::kTN: {
+      const Tensor at = transpose(a);
+      kernels::gemm_tn(n, k, m, at.data(), b.data(), out.data());
+      break;
+    }
+  }
+  const auto guard = out.begin() + n * m;
+  EXPECT_TRUE(std::all_of(guard, out.end(),
+                          [](float x) { return x == kSentinel; }))
+      << gemm_op_name(op) << " wrote past row " << n << " (n=" << n
+      << " k=" << k << " m=" << m << ")";
+  out.resize(static_cast<std::size_t>(n * m));
+  return Tensor(n, m, std::move(out));
+}
+
+bool same_bits(const float* x, const float* y, std::int64_t count) {
+  return std::memcmp(x, y, static_cast<std::size_t>(count) * sizeof(float)) ==
+         0;
+}
+
+// Restores the default kernel parallelism when a test leaves.
+struct ParallelOverride {
+  explicit ParallelOverride(std::int64_t flops) {
+    kernels::set_parallel_threshold_override(flops);
+  }
+  ~ParallelOverride() { kernels::set_parallel_threshold_override(0); }
+  ParallelOverride(const ParallelOverride&) = delete;
+  ParallelOverride& operator=(const ParallelOverride&) = delete;
+};
+
+struct NarrowShape {
+  GemmOp op;
+  int n, k, m;
+  Tensor a, b;  // A[n,k], B[k,m]: columns of `wide_b` [k, >= 32]
+  Tensor wide_b;
+};
+
+// Calls check(shape) for every op and shape of the sweep and fails with the
+// first few shapes it rejects (one EXPECT per test keeps a broken kernel's
+// report readable).
+template <typename Check>
+void for_each_narrow_shape(const Check& check) {
+  const int ms[] = {1, 2, 3, 4, 5, 10, 15, 17, 20, 47};
+  const int ns[] = {1, 15, 16, 17, 500};
+  const int ks[] = {1, 63, 256, 257, 600};
+  std::vector<std::string> failures;
+  for (const GemmOp op : {GemmOp::kNN, GemmOp::kNT, GemmOp::kTN}) {
+    for (const int n : ns) {
+      for (const int k : ks) {
+        for (const int m : ms) {
+          rng::Generator gen(static_cast<std::uint64_t>(
+              n * 1000003 + k * 1009 + m * 7 + static_cast<int>(op)));
+          NarrowShape shape{op, n, k, m, Tensor::randn(n, k, gen), Tensor(),
+                            Tensor::randn(k, std::max(32, (m + 31) / 32 * 32),
+                                          gen)};
+          shape.b = slice_cols(shape.wide_b, 0, m);
+          if (!check(shape) && failures.size() < 5) {
+            std::ostringstream name;
+            name << gemm_op_name(op) << " n=" << n << " k=" << k
+                 << " m=" << m;
+            failures.push_back(name.str());
+          }
+        }
+      }
+    }
+  }
+  std::ostringstream report;
+  for (const std::string& f : failures) report << "\n  " << f;
+  EXPECT_TRUE(failures.empty()) << "first failing shapes:" << report.str();
+}
+
+TEST(KernelGolden, NarrowTailMatchesWideMicrotilesBitwise) {
+  // With B widened to 32+ columns every output element comes from a
+  // microtile accumulating from zero in plain k order; from a zero C the
+  // narrow path must produce the same bits for the shared columns.
+  for_each_narrow_shape([](const NarrowShape& s) {
+    const Tensor narrow = run_gemm(s.op, s.a, s.b, Tensor(s.n, s.m));
+    const Tensor wide =
+        run_gemm(s.op, s.a, s.wide_b, Tensor(s.n, s.wide_b.cols()));
+    for (std::int64_t i = 0; i < s.n; ++i) {
+      if (!same_bits(narrow.data() + i * s.m, wide.data() + i * wide.cols(),
+                     s.m)) {
+        return false;
+      }
+    }
+    return true;
+  });
+}
+
+TEST(KernelGolden, NarrowTailRowAloneMatchesBatchBitwise) {
+  // A row's bits must not depend on which 16-row strip it shares, nor on
+  // the padding lanes of a partial strip.
+  for_each_narrow_shape([](const NarrowShape& s) {
+    if (s.n != 500) return true;
+    const Tensor batch = run_gemm(s.op, s.a, s.b, Tensor(s.n, s.m));
+    for (const std::int64_t i : {0, 15, 16, 255, 480, 499}) {
+      const Tensor alone =
+          run_gemm(s.op, slice_rows(s.a, i, i + 1), s.b, Tensor(1, s.m));
+      if (!same_bits(alone.data(), batch.data() + i * s.m, s.m)) return false;
+    }
+    return true;
+  });
+}
+
+TEST(KernelGolden, NarrowTailSerialMatchesParallelBitwise) {
+  for_each_narrow_shape([](const NarrowShape& s) {
+    Tensor serial;
+    {
+      const ParallelOverride force_serial(-1);
+      serial = run_gemm(s.op, s.a, s.b, Tensor(s.n, s.m));
+    }
+    const ParallelOverride force_parallel(1);
+    const Tensor parallel = run_gemm(s.op, s.a, s.b, Tensor(s.n, s.m));
+    return same_bits(serial.data(), parallel.data(), serial.size());
+  });
+}
+
+TEST(KernelGolden, NarrowTailAccumulatesIntoNonzeroC) {
+  // The kernels accumulate: the tail must start from C's current value (and
+  // keep it across k-blocks) rather than overwrite it.
+  for_each_narrow_shape([](const NarrowShape& s) {
+    rng::Generator gen(static_cast<std::uint64_t>(s.n + s.k + s.m));
+    const Tensor c0 = Tensor::randn(s.n, s.m, gen, 10.0f);
+    const Tensor got = run_gemm(s.op, s.a, s.b, c0);
+    return allclose(got, add(kernels::matmul_naive(s.a, s.b), c0), 1e-3f);
+  });
 }
 
 // Parameterized shape sweep: (A @ B)^T == B^T @ A^T for random shapes.
