@@ -23,6 +23,7 @@
 #include <thread>
 #include <vector>
 
+#include "algos/registry.h"
 #include "autograd/ops.h"
 #include "cluster/kmeans.h"
 #include "comm/codec.h"
@@ -472,6 +473,67 @@ std::vector<KernelEntry> collect_kernel_entries() {
     }
   }
 
+  // One SGD step over the 32,202-parameter encoder + head with the
+  // supervised optimizer settings (momentum and weight decay on), against
+  // the step it replaced: a gradient copy plus four whole-tensor passes
+  // (decay axpy, momentum scale, add, update axpy).
+  {
+    rng::Generator g2(96);
+    const nn::MlpEncoder encoder(nn::EncoderConfig{}, g2);
+    const nn::LinearClassifier head(64, 10, g2);
+    std::vector<ag::VarPtr> params = encoder.parameters();
+    head.collect_parameters(params);
+    std::vector<tensor::Tensor> buffers;
+    for (const ag::VarPtr& p : params) {
+      p->grad = tensor::Tensor::randn(p->value.rows(), p->value.cols(), g2,
+                                      1e-3f);
+      buffers.emplace_back(p->value.rows(), p->value.cols());
+    }
+    nn::SgdConfig config;
+    config.learning_rate = 0.05f;
+    config.momentum = 0.9f;
+    config.weight_decay = 1e-4f;
+    nn::Sgd optimizer(params, config);
+    KernelEntry e;
+    e.name = "sgd_step_32k";
+    e.seconds = time_best([&] { optimizer.step(); }, 200);
+    e.baseline_seconds = time_best(
+        [&] {
+          for (std::size_t i = 0; i < params.size(); ++i) {
+            tensor::Tensor g = params[i]->grad;
+            g.axpy_(config.weight_decay, params[i]->value);
+            buffers[i].scale_(config.momentum);
+            buffers[i].add_(g);
+            params[i]->value.axpy_(-config.learning_rate, buffers[i]);
+          }
+        },
+        200);
+    entries.push_back(e);
+  }
+
+  // The draws of one 32-row cifar10 view (32 x (16 + 8) latent and
+  // 32 x 48 noise draws): one fill_normal block against the same stream
+  // drawn one normal() call at a time.
+  {
+    std::vector<double> draws(2304);
+    rng::Generator g2(95);
+    KernelEntry e;
+    e.name = "fill_normal_2304";
+    e.seconds = time_best(
+        [&] {
+          g2.fill_normal(draws.data(), draws.size());
+          benchmark::DoNotOptimize(draws.data());
+        },
+        200);
+    e.baseline_seconds = time_best(
+        [&] {
+          for (double& x : draws) x = g2.normal();
+          benchmark::DoNotOptimize(draws.data());
+        },
+        200);
+    entries.push_back(e);
+  }
+
   // NT-Xent forward+backward trajectory entry. No scalar baseline exists
   // for the full autograd graph, so the JSON writer omits the baseline and
   // speedup fields for this entry instead of reporting zeros. The flop
@@ -502,40 +564,52 @@ std::vector<KernelEntry> collect_kernel_entries() {
 // entries that are not flop kernels (flops == 0) the flop fields, rather
 // than reporting meaningless zeros.
 std::string kernel_entry_json(const KernelEntry& e, bool last) {
-  const double gflops =
-      e.seconds > 0.0 && e.flops > 0.0 ? e.flops / e.seconds / 1e9 : 0.0;
-  char buffer[512];
-  if (e.baseline_seconds > 0.0) {
-    const double baseline_gflops =
-        e.flops > 0.0 ? e.flops / e.baseline_seconds / 1e9 : 0.0;
-    const double speedup =
-        e.seconds > 0.0 ? e.baseline_seconds / e.seconds : 0.0;
-    std::snprintf(buffer, sizeof(buffer),
-                  "      {\"name\": \"%s\", \"flops\": %.0f, "
-                  "\"seconds\": %.6e, \"gflops\": %.3f, "
-                  "\"baseline_seconds\": %.6e, \"baseline_gflops\": %.3f, "
-                  "\"speedup\": %.2f}%s\n",
-                  e.name.c_str(), e.flops, e.seconds, gflops,
-                  e.baseline_seconds, baseline_gflops, speedup,
-                  last ? "" : ",");
-    std::printf("[kernels] %-32s %8.3f GFLOP/s  (baseline %8.3f, %.2fx)\n",
-                e.name.c_str(), gflops, baseline_gflops, speedup);
-  } else if (e.flops > 0.0) {
-    std::snprintf(buffer, sizeof(buffer),
-                  "      {\"name\": \"%s\", \"flops\": %.0f, "
-                  "\"seconds\": %.6e, \"gflops\": %.3f}%s\n",
-                  e.name.c_str(), e.flops, e.seconds, gflops,
-                  last ? "" : ",");
-    std::printf("[kernels] %-32s %8.3f GFLOP/s  (no baseline)\n",
-                e.name.c_str(), gflops);
-  } else {
-    std::snprintf(buffer, sizeof(buffer),
-                  "      {\"name\": \"%s\", \"seconds\": %.6e}%s\n",
-                  e.name.c_str(), e.seconds, last ? "" : ",");
-    std::printf("[kernels] %-32s %8.1f us/call  (no baseline)\n",
-                e.name.c_str(), e.seconds * 1e6);
+  const bool has_flops = e.flops > 0.0 && e.seconds > 0.0;
+  const bool has_baseline = e.baseline_seconds > 0.0 && e.seconds > 0.0;
+  char field[160];
+  std::string json = "      {\"name\": \"" + e.name + "\"";
+  std::string line = "[kernels] " + e.name;
+  line.resize(std::max<std::size_t>(line.size(), 42), ' ');
+  if (has_flops) {
+    std::snprintf(field, sizeof(field), ", \"flops\": %.0f", e.flops);
+    json += field;
   }
-  return buffer;
+  std::snprintf(field, sizeof(field), ", \"seconds\": %.6e", e.seconds);
+  json += field;
+  if (has_flops) {
+    const double gflops = e.flops / e.seconds / 1e9;
+    std::snprintf(field, sizeof(field), ", \"gflops\": %.3f", gflops);
+    json += field;
+    std::snprintf(field, sizeof(field), " %8.3f GFLOP/s", gflops);
+  } else {
+    std::snprintf(field, sizeof(field), " %8.1f us/call", e.seconds * 1e6);
+  }
+  line += field;
+  if (has_baseline) {
+    const double speedup = e.baseline_seconds / e.seconds;
+    std::snprintf(field, sizeof(field), ", \"baseline_seconds\": %.6e",
+                  e.baseline_seconds);
+    json += field;
+    if (has_flops) {
+      const double baseline_gflops = e.flops / e.baseline_seconds / 1e9;
+      std::snprintf(field, sizeof(field), ", \"baseline_gflops\": %.3f",
+                    baseline_gflops);
+      json += field;
+      std::snprintf(field, sizeof(field), "  (baseline %8.3f, %.2fx)",
+                    baseline_gflops, speedup);
+    } else {
+      std::snprintf(field, sizeof(field), "  (baseline %8.1f us, %.2fx)",
+                    e.baseline_seconds * 1e6, speedup);
+    }
+    line += field;
+    std::snprintf(field, sizeof(field), ", \"speedup\": %.2f", speedup);
+    json += field;
+  } else {
+    line += "  (no baseline)";
+  }
+  json += last ? "}\n" : "},\n";
+  std::printf("%s\n", line.c_str());
+  return json;
 }
 
 // Times the kernel suite twice — single-threaded (parallelism forced off)
@@ -570,10 +644,13 @@ void dump_kernel_json(const char* path) {
 
 // --- BENCH_train_step.json ---------------------------------------------------
 //
-// End-to-end cost of one full PflSsl::local_update (Algorithm 1's client
-// step: augment two views, SSL forward, backward, SGD step) per SSL method,
-// plus Calibre (SimCLR), whose step adds the per-batch KMeans and prototype
-// losses and the closing divergence KMeans, in three configurations:
+// End-to-end cost of one full local_update, model build included: one per
+// SSL method through PflSsl (Algorithm 1's client step: augment two views,
+// SSL forward, backward, SGD step) on a 256-row shard for one epoch; Calibre
+// (SimCLR), whose step adds the per-batch KMeans and prototype losses and
+// the closing divergence KMeans; and FedAvg at the `cohort` workload's
+// shape (a 20-row labeled shard, 3 local epochs: three 20-row SGD steps,
+// where fixed per-update costs dominate). Three configurations:
 //  * "pooled"   — fused graphs + tensor pool (this tree's training step);
 //  * "pool_off" — fused graphs, CALIBRE_TENSOR_POOL kill-switch off (every
 //                 buffer freshly allocated and zeroed), isolating the pool;
@@ -581,25 +658,44 @@ void dump_kernel_json(const char* path) {
 //                 off: the step as it ran before the pooled-storage +
 //                 fused-op layer existed, which is what the headline
 //                 "speedup" compares against.
-// steps/sec counts optimizer steps; pool_misses_per_step is the tensor
-// pool's miss counter on the calling thread (tensor buffers the pool could
-// not serve from a free list, or every tensor buffer when the pool is off)
-// divided by the optimizer steps in one call. It counts tensor storage only,
-// not every heap allocation the step makes.
+// Timing: kTrainStepReps repetitions, each running every configuration once
+// (one warmup call, then one timed call), so drift on a shared machine lands
+// on all three alike. seconds_per_call is the median of a configuration's
+// timed calls and seconds_q1/seconds_q3 its quartiles; steps/sec divides
+// the optimizer steps in one call by the median. pool_misses_per_step is
+// the tensor pool's miss counter on the calling thread over one call after
+// a warmup (tensor buffers the pool could not serve from a free list, or
+// every tensor buffer when the pool is off) divided by those steps. It
+// counts tensor storage only, not every heap allocation the step makes.
+
+constexpr int kTrainStepReps = 21;
 
 struct TrainStepRun {
-  double seconds_per_call = 0.0;
+  double seconds_per_call = 0.0;  // median
+  double seconds_q1 = 0.0;
+  double seconds_q3 = 0.0;
   double steps_per_sec = 0.0;
   double pool_misses_per_step = 0.0;
 };
 
 struct TrainStepEntry {
   std::string method;
+  int shard_rows = 0;
+  int local_epochs = 0;
   int steps_per_call = 0;
   TrainStepRun pooled;
   TrainStepRun pool_off;
   TrainStepRun baseline;
 };
+
+// Linear-interpolated quantile q of sorted values.
+double quantile(const std::vector<double>& sorted, double q) {
+  const double pos = q * static_cast<double>(sorted.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+  return sorted[lo] +
+         (pos - static_cast<double>(lo)) * (sorted[hi] - sorted[lo]);
+}
 
 fl::FlConfig train_step_config() {
   fl::FlConfig config;
@@ -609,17 +705,23 @@ fl::FlConfig train_step_config() {
   return config;
 }
 
-TrainStepEntry time_train_step(const std::string& method,
-                               core::PflSsl& algo) {
-  const fl::FlConfig config = train_step_config();
+TrainStepEntry time_train_step(const std::string& method, fl::Algorithm& algo,
+                               const fl::FlConfig& config, int shard_rows,
+                               bool labeled) {
   const nn::ModelState global = algo.initialize();
 
   rng::Generator gen(55);
-  // The local shard doubles as the SSL pool; Calibre's closing divergence
-  // KMeans reads its inputs (the labels are unused).
+  // The shard doubles as the SSL pool; Calibre's closing divergence KMeans
+  // reads its inputs. Only FedAvg reads the labels.
   data::Dataset shard;
-  shard.x = tensor::Tensor::randn(256, config.encoder.input_dim, gen);
-  shard.labels.assign(256, -1);
+  shard.num_classes = config.num_classes;
+  shard.x = tensor::Tensor::randn(shard_rows, config.encoder.input_dim, gen);
+  for (int i = 0; i < shard_rows; ++i) {
+    shard.labels.push_back(
+        labeled ? static_cast<int>(gen.uniform_index(
+                      static_cast<std::uint64_t>(config.num_classes)))
+                : -1);
+  }
   const tensor::Tensor& ssl_pool = shard.x;
   fl::ClientContext ctx;
   ctx.client_id = 0;
@@ -630,35 +732,70 @@ TrainStepEntry time_train_step(const std::string& method,
 
   TrainStepEntry entry;
   entry.method = method;
+  entry.shard_rows = shard_rows;
+  entry.local_epochs = config.local_epochs;
   entry.steps_per_call =
-      static_cast<int>((ssl_pool.rows() + config.batch_size - 1) /
-                       config.batch_size) *
+      (shard_rows + config.batch_size - 1) / config.batch_size *
       config.local_epochs;
 
   const auto one_call = [&] {
     benchmark::DoNotOptimize(algo.local_update(global, ctx));
   };
-  const auto measure = [&](bool fused, bool pooled) {
-    ag::set_fused_graphs(fused);
-    tensor::pool::set_enabled(pooled);
+  struct Setting {
+    bool fused;
+    bool pooled;
+    TrainStepRun* run;
+    std::vector<double> seconds;
+  } settings[] = {{false, false, &entry.baseline, {}},
+                  {true, false, &entry.pool_off, {}},
+                  {true, true, &entry.pooled, {}}};
+  const auto apply = [](const Setting& setting) {
+    ag::set_fused_graphs(setting.fused);
+    tensor::pool::set_enabled(setting.pooled);
+  };
+  for (Setting& setting : settings) {
+    apply(setting);
     one_call();  // warmup: populates (or drains) the free lists
     tensor::pool::reset_thread_stats();
     one_call();
-    const tensor::pool::Stats stats = tensor::pool::thread_stats();
-    TrainStepRun run;
-    run.pool_misses_per_step = static_cast<double>(stats.misses) /
-                          static_cast<double>(entry.steps_per_call);
-    run.seconds_per_call = time_best(one_call, 5);
+    setting.run->pool_misses_per_step =
+        static_cast<double>(tensor::pool::thread_stats().misses) /
+        static_cast<double>(entry.steps_per_call);
+  }
+  for (int rep = 0; rep < kTrainStepReps; ++rep) {
+    for (Setting& setting : settings) {
+      apply(setting);
+      one_call();
+      const auto start = std::chrono::steady_clock::now();
+      one_call();
+      const auto stop = std::chrono::steady_clock::now();
+      setting.seconds.push_back(
+          std::chrono::duration<double>(stop - start).count());
+    }
+  }
+  for (Setting& setting : settings) {
+    std::sort(setting.seconds.begin(), setting.seconds.end());
+    TrainStepRun& run = *setting.run;
+    run.seconds_per_call = quantile(setting.seconds, 0.5);
+    run.seconds_q1 = quantile(setting.seconds, 0.25);
+    run.seconds_q3 = quantile(setting.seconds, 0.75);
     run.steps_per_sec =
         static_cast<double>(entry.steps_per_call) / run.seconds_per_call;
-    return run;
-  };
-  entry.baseline = measure(/*fused=*/false, /*pooled=*/false);
-  entry.pool_off = measure(/*fused=*/true, /*pooled=*/false);
-  entry.pooled = measure(/*fused=*/true, /*pooled=*/true);
+  }
   ag::set_fused_graphs(true);
   tensor::pool::set_enabled(true);
   return entry;
+}
+
+std::string train_step_run_json(const char* name, const TrainStepRun& run) {
+  char buffer[256];
+  std::snprintf(buffer, sizeof(buffer),
+                "\"%s\": {\"seconds_per_call\": %.6e, \"seconds_q1\": %.6e, "
+                "\"seconds_q3\": %.6e, \"steps_per_sec\": %.2f, "
+                "\"pool_misses_per_step\": %.1f}",
+                name, run.seconds_per_call, run.seconds_q1, run.seconds_q3,
+                run.steps_per_sec, run.pool_misses_per_step);
+  return buffer;
 }
 
 void dump_train_step_json(const char* path) {
@@ -667,28 +804,32 @@ void dump_train_step_json(const char* path) {
   for (const ssl::Kind kind :
        {ssl::Kind::kSimClr, ssl::Kind::kByol, ssl::Kind::kSimSiam}) {
     core::PflSsl algo(config, kind);
-    entries.push_back(time_train_step(ssl::kind_name(kind), algo));
+    entries.push_back(time_train_step(ssl::kind_name(kind), algo, config,
+                                      /*shard_rows=*/256, /*labeled=*/false));
   }
   core::Calibre calibre(config, ssl::Kind::kSimClr);
-  entries.push_back(time_train_step(calibre.name(), calibre));
+  entries.push_back(time_train_step(calibre.name(), calibre, config,
+                                    /*shard_rows=*/256, /*labeled=*/false));
+  fl::FlConfig cohort_config = config;
+  cohort_config.local_epochs = 3;
+  const auto fedavg = algos::make_algorithm("FedAvg", cohort_config);
+  entries.push_back(time_train_step("FedAvg (cohort shape)", *fedavg,
+                                    cohort_config, /*shard_rows=*/20,
+                                    /*labeled=*/true));
 
   std::ofstream out(path);
   out << "{\n  \"generated_by\": \"bench_micro\",\n"
       << "  \"suite\": \"train_step\",\n"
       << "  \"hardware_threads\": " << std::thread::hardware_concurrency()
       << ",\n  \"threads\": " << common::ThreadPool::default_parallelism()
-      << ",\n  \"local_epochs\": 1,\n  \"batch_size\": 32,\n"
-      << "  \"pool_rows\": 256,\n  \"methods\": [\n";
+      << ",\n  \"batch_size\": " << config.batch_size
+      << ",\n  \"repetitions\": " << kTrainStepReps
+      << ",\n  \"methods\": [\n";
   for (std::size_t i = 0; i < entries.size(); ++i) {
     const TrainStepEntry& e = entries[i];
-    const double speedup = e.baseline.steps_per_sec > 0.0
-                               ? e.pooled.steps_per_sec /
-                                     e.baseline.steps_per_sec
-                               : 0.0;
+    const double speedup = e.pooled.steps_per_sec / e.baseline.steps_per_sec;
     const double pool_only_speedup =
-        e.pool_off.steps_per_sec > 0.0
-            ? e.pooled.steps_per_sec / e.pool_off.steps_per_sec
-            : 0.0;
+        e.pooled.steps_per_sec / e.pool_off.steps_per_sec;
     // A fully warm pool serves an entire call without a miss, so floor the
     // denominator at "one miss per call": the reported reduction is then a
     // lower bound rather than a division by zero.
@@ -697,31 +838,28 @@ void dump_train_step_json(const char* path) {
                  1.0 / static_cast<double>(e.steps_per_call));
     const double miss_reduction =
         e.baseline.pool_misses_per_step / pooled_floor;
-    char buffer[1024];
-    std::snprintf(
-        buffer, sizeof(buffer),
-        "    {\"method\": \"%s\", \"steps_per_call\": %d,\n"
-        "     \"pooled\": {\"seconds_per_call\": %.6e, "
-        "\"steps_per_sec\": %.2f, \"pool_misses_per_step\": %.1f},\n"
-        "     \"pool_off\": {\"seconds_per_call\": %.6e, "
-        "\"steps_per_sec\": %.2f, \"pool_misses_per_step\": %.1f},\n"
-        "     \"baseline\": {\"seconds_per_call\": %.6e, "
-        "\"steps_per_sec\": %.2f, \"pool_misses_per_step\": %.1f},\n"
-        "     \"speedup\": %.2f, \"pool_only_speedup\": %.2f, "
-        "\"pool_miss_reduction_at_least\": %.1f}%s\n",
-        e.method.c_str(), e.steps_per_call, e.pooled.seconds_per_call,
-        e.pooled.steps_per_sec, e.pooled.pool_misses_per_step,
-        e.pool_off.seconds_per_call, e.pool_off.steps_per_sec,
-        e.pool_off.pool_misses_per_step, e.baseline.seconds_per_call,
-        e.baseline.steps_per_sec, e.baseline.pool_misses_per_step, speedup,
-        pool_only_speedup, miss_reduction,
-        i + 1 < entries.size() ? "," : "");
+    char buffer[256];
+    std::snprintf(buffer, sizeof(buffer),
+                  "    {\"method\": \"%s\", \"shard_rows\": %d, "
+                  "\"local_epochs\": %d, \"steps_per_call\": %d,\n",
+                  e.method.c_str(), e.shard_rows, e.local_epochs,
+                  e.steps_per_call);
+    out << buffer << "     " << train_step_run_json("pooled", e.pooled)
+        << ",\n     " << train_step_run_json("pool_off", e.pool_off)
+        << ",\n     " << train_step_run_json("baseline", e.baseline);
+    std::snprintf(buffer, sizeof(buffer),
+                  ",\n     \"speedup\": %.2f, \"pool_only_speedup\": %.2f, "
+                  "\"pool_miss_reduction_at_least\": %.1f}%s\n",
+                  speedup, pool_only_speedup, miss_reduction,
+                  i + 1 < entries.size() ? "," : "");
     out << buffer;
     std::printf(
-        "[train_step] %-16s %8.1f steps/s pooled vs %8.1f pool-off vs "
-        "%8.1f baseline (%.2fx, pool-only %.2fx), %5.1f vs %5.1f "
-        "pool misses/step (>=%.0fx fewer)\n",
-        e.method.c_str(), e.pooled.steps_per_sec, e.pool_off.steps_per_sec,
+        "[train_step] %-21s %9.1f us/call pooled (IQR %.1f-%.1f), "
+        "%8.1f steps/s vs %8.1f pool-off vs %8.1f baseline (%.2fx, "
+        "pool-only %.2fx), %5.1f vs %5.1f pool misses/step (>=%.0fx fewer)\n",
+        e.method.c_str(), e.pooled.seconds_per_call * 1e6,
+        e.pooled.seconds_q1 * 1e6, e.pooled.seconds_q3 * 1e6,
+        e.pooled.steps_per_sec, e.pool_off.steps_per_sec,
         e.baseline.steps_per_sec, speedup, pool_only_speedup,
         e.pooled.pool_misses_per_step, e.baseline.pool_misses_per_step,
         miss_reduction);

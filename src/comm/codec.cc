@@ -28,8 +28,12 @@ typedef std::uint8_t vu8 __attribute__((vector_size(16), aligned(1),
 constexpr std::size_t kLanes = 16;  // elements per vector group
 
 // ThreadSanitizer cannot coexist with the ifunc resolvers target_clones
-// emits, so TSan builds fall back to the default-target body.
-#if defined(__SANITIZE_THREAD__)
+// emits, so TSan builds fall back to the default-target body. So does a
+// build whose baseline already has AVX-512 (CALIBRE_NATIVE=ON on an AVX-512
+// host): no clone would be wider than the default body, and GCC 12 fails
+// with an internal compiler error building the x86-64-v3 clone of
+// f16_to_f32_block from that baseline.
+#if defined(__SANITIZE_THREAD__) || defined(__AVX512F__)
 #define CALIBRE_CODEC_CLONES __attribute__((flatten))
 #else
 #define CALIBRE_CODEC_CLONES \

@@ -1,7 +1,9 @@
 #include "data/synthetic.h"
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <vector>
 
 #include "common/check.h"
 
@@ -94,23 +96,39 @@ tensor::Tensor ViewOracle::render_view(const tensor::Tensor& class_latents,
   CALIBRE_CHECK_MSG(valid(), "ViewOracle not initialised");
   CALIBRE_CHECK(class_latents.cols() == config_.latent_dim);
   const std::int64_t n = class_latents.rows();
-  const int latent_total = config_.latent_dim + config_.nuisance_dim;
-  Tensor full(n, latent_total);
+  const int latent_dim = config_.latent_dim;
+  const int latent_total = latent_dim + config_.nuisance_dim;
+  const std::int64_t input_dim = w_.cols();
+  // One block of draws per stage, consumed in the order the per-element
+  // normal() calls made them: row by row, class jitter then nuisance, and
+  // then the observation noise of every output element.
+  std::vector<double> draws(
+      static_cast<std::size_t>(n * std::max<std::int64_t>(latent_total,
+                                                          input_dim)));
+  gen.fill_normal(draws.data(), static_cast<std::size_t>(n * latent_total));
+  Tensor full = Tensor::uninit(n, latent_total);
   for (std::int64_t i = 0; i < n; ++i) {
-    for (int d = 0; d < config_.latent_dim; ++d) {
-      full(i, d) = class_latents(i, d) +
-                   static_cast<float>(gen.normal() *
-                                      config_.view_latent_jitter);
+    const float* class_row = class_latents.data() + i * latent_dim;
+    const double* z = draws.data() + i * latent_total;
+    float* row = full.data() + i * latent_total;
+    for (int d = 0; d < latent_dim; ++d) {
+      row[d] = class_row[d] +
+               static_cast<float>(z[d] * config_.view_latent_jitter);
     }
-    for (int d = 0; d < config_.nuisance_dim; ++d) {
-      full(i, config_.latent_dim + d) =
-          static_cast<float>(gen.normal() * config_.nuisance_stddev);
+    for (int d = latent_dim; d < latent_total; ++d) {
+      row[d] = static_cast<float>(z[d] * config_.nuisance_stddev);
     }
   }
-  Tensor view = tensor::add(tensor::matmul(full, w_), b_);
-  for (auto& value : view.storage()) {
-    value = std::cos(value) +
-            static_cast<float>(gen.normal() * config_.observation_noise);
+  Tensor view = tensor::matmul(full, w_);
+  gen.fill_normal(draws.data(), static_cast<std::size_t>(view.size()));
+  const float* bias = b_.data();
+  for (std::int64_t i = 0; i < n; ++i) {
+    float* row = view.data() + i * input_dim;
+    const double* z = draws.data() + i * input_dim;
+    for (std::int64_t j = 0; j < input_dim; ++j) {
+      row[j] = std::cos(row[j] + bias[j]) +
+               static_cast<float>(z[j] * config_.observation_noise);
+    }
   }
   return view;
 }

@@ -1,5 +1,7 @@
 #include "flapi/model.h"
 
+#include <optional>
+
 #include "common/check.h"
 #include "data/synthetic.h"
 
@@ -17,13 +19,43 @@ tensor::Tensor training_view(const data::Dataset& dataset,
   return data::augment(tensor::take_rows(dataset.x, batch), augment, gen);
 }
 
+namespace {
+
+// Every input of make_encoder_head's seeded draw.
+struct InitKey {
+  nn::EncoderConfig encoder;
+  int num_classes = 0;
+  std::uint64_t seed = 0;
+
+  bool operator==(const InitKey&) const = default;
+};
+
+}  // namespace
+
 EncoderHeadModel make_encoder_head(const FlConfig& config,
                                    std::uint64_t seed) {
-  rng::Generator gen(seed);
+  // The algorithms rebuild the same seeded model for every local update and
+  // personalization, then mostly overwrite it. Each thread keeps its last
+  // draw: one entry bounds the memory, and being per thread it needs no
+  // lock. A build with the same key allocates the layers without drawing
+  // and copies the stored state; any other key draws afresh.
+  thread_local std::optional<InitKey> last_key;
+  thread_local nn::ModelState last_init;
+  InitKey key{config.encoder, config.num_classes, seed};
   EncoderHeadModel model;
+  if (last_key == key) {
+    model.encoder = std::make_unique<nn::MlpEncoder>(config.encoder);
+    model.head = std::make_unique<nn::LinearClassifier>(
+        config.encoder.feature_dim, config.num_classes);
+    last_init.apply_to(model.all_parameters());
+    return model;
+  }
+  rng::Generator gen(seed);
   model.encoder = std::make_unique<nn::MlpEncoder>(config.encoder, gen);
   model.head = std::make_unique<nn::LinearClassifier>(
       config.encoder.feature_dim, config.num_classes, gen);
+  last_init = nn::ModelState::from_parameters(model.all_parameters());
+  last_key = std::move(key);
   return model;
 }
 

@@ -36,7 +36,9 @@ struct EncoderHeadModel {
   }
 };
 
-// Builds a fresh model; `seed` controls initialisation.
+// Builds a fresh model; `seed` controls initialisation. The init is drawn
+// once per thread and key (the encoder config, num_classes and the seed):
+// a repeated build copies the stored draw instead, bit for bit the same.
 EncoderHeadModel make_encoder_head(const FlConfig& config, std::uint64_t seed);
 
 // One stochastic training view of the selected batch rows: oracle views

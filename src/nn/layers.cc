@@ -19,6 +19,13 @@ Linear::Linear(std::int64_t in_features, std::int64_t out_features,
   }
 }
 
+Linear::Linear(std::int64_t in_features, std::int64_t out_features, bool bias)
+    : in_features_(in_features), out_features_(out_features) {
+  CALIBRE_CHECK(in_features > 0 && out_features > 0);
+  weight_ = ag::parameter(tensor::Tensor(in_features, out_features));
+  if (bias) bias_ = ag::parameter(tensor::Tensor(1, out_features));
+}
+
 ag::VarPtr Linear::forward(const ag::VarPtr& x) {
   CALIBRE_CHECK_MSG(x->value.cols() == in_features_,
                     "Linear expects " << in_features_ << " features, got "

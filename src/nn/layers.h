@@ -15,6 +15,10 @@ class Linear : public Module {
  public:
   Linear(std::int64_t in_features, std::int64_t out_features,
          rng::Generator& gen, bool bias = true);
+  // Allocates the layer without drawing an init: every parameter is zero
+  // until a state is applied to it (see fl::make_encoder_head).
+  Linear(std::int64_t in_features, std::int64_t out_features,
+         bool bias = true);
 
   ag::VarPtr forward(const ag::VarPtr& x) override;
   void collect_parameters(std::vector<ag::VarPtr>& out) const override;

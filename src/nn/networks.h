@@ -20,6 +20,8 @@ struct EncoderConfig {
   std::vector<std::int64_t> hidden_dims = {128, 128};
   std::int64_t feature_dim = 64;
   bool layer_norm = true;
+
+  bool operator==(const EncoderConfig&) const = default;
 };
 
 // The feature backbone (paper: ResNet-18 "Encoder", output 512-d; here an
@@ -27,6 +29,8 @@ struct EncoderConfig {
 class MlpEncoder : public Module {
  public:
   MlpEncoder(const EncoderConfig& config, rng::Generator& gen);
+  // The same layers, allocated without drawing an init (all zero).
+  explicit MlpEncoder(const EncoderConfig& config);
 
   ag::VarPtr forward(const ag::VarPtr& x) override;
   void collect_parameters(std::vector<ag::VarPtr>& out) const override;
@@ -36,6 +40,9 @@ class MlpEncoder : public Module {
   const EncoderConfig& config() const { return config_; }
 
  private:
+  // Draws the init from `gen`, or leaves every parameter zero when null.
+  MlpEncoder(const EncoderConfig& config, rng::Generator* gen);
+
   EncoderConfig config_;
   Sequential body_;
 };
@@ -66,6 +73,8 @@ class LinearClassifier : public Module {
  public:
   LinearClassifier(std::int64_t feature_dim, std::int64_t num_classes,
                    rng::Generator& gen);
+  // Allocated without drawing an init (all zero).
+  LinearClassifier(std::int64_t feature_dim, std::int64_t num_classes);
 
   ag::VarPtr forward(const ag::VarPtr& x) override;
   void collect_parameters(std::vector<ag::VarPtr>& out) const override;

@@ -59,21 +59,42 @@ std::uint64_t Generator::uniform_index(std::uint64_t n) {
   }
 }
 
-double Generator::normal() {
-  if (has_cached_normal_) {
-    has_cached_normal_ = false;
-    return cached_normal_;
-  }
+// Private and used only here; inlined so normal() stays one call.
+[[gnu::always_inline]] inline void Generator::normal_pair(double& cos_half,
+                                                          double& sin_half) {
   double u1 = 0.0;
   do {
     u1 = uniform();
   } while (u1 <= 1e-300);
   const double u2 = uniform();
   const double radius = std::sqrt(-2.0 * std::log(u1));
-  const double angle = 2.0 * M_PI * u2;
-  cached_normal_ = radius * std::sin(angle);
+  // glibc's sincos returns the bits of separate sin and cos calls.
+  double sin_angle = 0.0;
+  double cos_angle = 0.0;
+  sincos(2.0 * M_PI * u2, &sin_angle, &cos_angle);
+  cos_half = radius * cos_angle;
+  sin_half = radius * sin_angle;
+}
+
+double Generator::normal() {
+  if (has_cached_normal_) {
+    has_cached_normal_ = false;
+    return cached_normal_;
+  }
+  double value = 0.0;
+  normal_pair(value, cached_normal_);
   has_cached_normal_ = true;
-  return radius * std::cos(angle);
+  return value;
+}
+
+void Generator::fill_normal(double* out, std::size_t n) {
+  std::size_t i = 0;
+  if (n > 0 && has_cached_normal_) {
+    has_cached_normal_ = false;
+    out[i++] = cached_normal_;
+  }
+  for (; i + 2 <= n; i += 2) normal_pair(out[i], out[i + 1]);
+  if (i < n) out[i] = normal();
 }
 
 double Generator::normal(double mean, double stddev) {

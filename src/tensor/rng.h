@@ -7,6 +7,7 @@
 // client, one per dataset, ...) with Generator::fork().
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -29,8 +30,15 @@ class Generator {
   // Uniform integer in [0, n). Requires n > 0.
   std::uint64_t uniform_index(std::uint64_t n);
 
-  // Standard normal via Box–Muller (cached second value).
+  // Standard normal via Box–Muller: each pair of uniforms gives two draws
+  // from one sincos, the cosine half first; the sine half is cached for the
+  // next call.
   double normal();
+
+  // Writes exactly the next n normal() values to out[0, n): the cached half
+  // first if there is one, then whole pairs, and a trailing odd draw caches
+  // its sine half just as normal() would.
+  void fill_normal(double* out, std::size_t n);
 
   // Normal with the given mean / standard deviation.
   double normal(double mean, double stddev);
@@ -60,6 +68,8 @@ class Generator {
 
  private:
   double gamma(double shape);
+  // One Box–Muller pair: the cosine half and the sine half.
+  void normal_pair(double& cos_half, double& sin_half);
 
   std::uint64_t state_[4];
   bool has_cached_normal_ = false;

@@ -1,6 +1,7 @@
 // Tests for the algorithm zoo: a parameterized end-to-end federation for
 // every registered method, plus algorithm-specific behavioural checks.
 #include <cmath>
+#include <cstring>
 #include <set>
 #include <string>
 #include <thread>
@@ -305,6 +306,96 @@ TEST(PersistentState, FedPerKeepsPerClientHeads) {
   const fl::ClientUpdate u1 = algorithm->local_update(global, ctx1);
   // Encoder states differ because local data differs.
   EXPECT_GT(u0.state.l2_distance(u1.state), 0.0f);
+}
+
+// --- draw-once init ---------------------------------------------------------
+
+bool bitwise_equal(const nn::ModelState& a, const nn::ModelState& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.values().data(), b.values().data(),
+                     a.size() * sizeof(float)) == 0;
+}
+
+// The init make_encoder_head must reproduce: drawn from a fresh generator.
+nn::ModelState drawn_init(const fl::FlConfig& config, std::uint64_t seed) {
+  rng::Generator gen(seed);
+  const nn::MlpEncoder encoder(config.encoder, gen);
+  const nn::LinearClassifier head(config.encoder.feature_dim,
+                                  config.num_classes, gen);
+  std::vector<ag::VarPtr> params = encoder.parameters();
+  head.collect_parameters(params);
+  return nn::ModelState::from_parameters(params);
+}
+
+nn::ModelState built_init(const fl::FlConfig& config, std::uint64_t seed) {
+  return nn::ModelState::from_parameters(
+      fl::make_encoder_head(config, seed).all_parameters());
+}
+
+// make_encoder_head draws each seeded init once per thread and copies it on
+// a repeated build. The copy must be bitwise the draw, and a change to any
+// input of the draw must draw afresh rather than reuse the stored state.
+TEST(EncoderHead, CachedBuildMatchesDraw) {
+  const fl::FlConfig base = tiny_world().config;
+  const nn::ModelState expected = drawn_init(base, base.seed);
+  EXPECT_TRUE(bitwise_equal(built_init(base, base.seed), expected));
+  EXPECT_TRUE(bitwise_equal(built_init(base, base.seed), expected));
+
+  std::vector<fl::FlConfig> variants(5, base);
+  variants[0].seed = base.seed + 1;
+  variants[1].encoder.hidden_dims = {24};
+  variants[2].num_classes = base.num_classes + 2;
+  variants[3].encoder.feature_dim = base.encoder.feature_dim + 4;
+  variants[4].encoder.layer_norm = !base.encoder.layer_norm;
+  for (std::size_t v = 0; v < variants.size(); ++v) {
+    SCOPED_TRACE(::testing::Message() << "variant " << v);
+    const fl::FlConfig& config = variants[v];
+    const nn::ModelState fresh = drawn_init(config, config.seed);
+    EXPECT_FALSE(bitwise_equal(fresh, expected));
+    EXPECT_TRUE(bitwise_equal(built_init(config, config.seed), fresh));
+    EXPECT_TRUE(bitwise_equal(built_init(config, config.seed), fresh));
+    EXPECT_TRUE(bitwise_equal(built_init(base, base.seed), expected));
+  }
+}
+
+// FedRep, FedPer and LG-FedAvg fall back to the seeded init for a client
+// with no stored head (encoder, for LG-FedAvg). Their local updates and
+// personalization must not depend on whether that init was drawn (a fresh
+// thread, whose store is empty) or copied (a thread that already built it).
+TEST(EncoderHead, RandomInitFallbacksMatchDraw) {
+  const TinyWorld& world = tiny_world();
+  const data::Dataset train = world.fed.train_shard(0);
+  const data::Dataset novel_train = world.fed.novel_train_shard(0);
+  const data::Dataset novel_test = world.fed.novel_test_shard(0);
+  fl::ClientContext ctx;
+  ctx.client_id = 0;
+  ctx.train = &train;
+  ctx.seed = 9;
+  fl::PersonalizationContext pctx;
+  pctx.client_id = 4;  // never trained: nothing stored
+  pctx.train = &novel_train;
+  pctx.test = &novel_test;
+  pctx.seed = 10;
+  for (const std::string name : {"FedRep", "FedPer", "LG-FedAvg"}) {
+    SCOPED_TRACE(name);
+    const nn::ModelState global =
+        make_algorithm(name, world.config)->initialize();
+    nn::ModelState drawn_update;
+    double drawn_accuracy = -1.0;
+    std::thread([&] {
+      drawn_update =
+          make_algorithm(name, world.config)->local_update(global, ctx).state;
+    }).join();
+    std::thread([&] {
+      drawn_accuracy =
+          make_algorithm(name, world.config)->personalize(global, pctx);
+    }).join();
+    (void)fl::make_encoder_head(world.config, world.config.seed);
+    const auto copied = make_algorithm(name, world.config);
+    EXPECT_TRUE(
+        bitwise_equal(copied->local_update(global, ctx).state, drawn_update));
+    EXPECT_EQ(copied->personalize(global, pctx), drawn_accuracy);
+  }
 }
 
 TEST(LocalOnly, TrainingStageIsForbidden) {

@@ -9,6 +9,7 @@
 #include "cluster/kmeans.h"
 #include "cluster/quality.h"
 #include "common/check.h"
+#include "test_hash.h"
 
 namespace calibre::cluster {
 namespace {
@@ -189,16 +190,7 @@ TEST(Quality, NmiProperties) {
               normalized_mutual_information(labels, other), 1e-12);
 }
 
-// 64-bit FNV-1a over raw bytes.
-std::uint64_t fnv1a_bytes(const void* data, std::size_t bytes) {
-  std::uint64_t hash = 0xcbf29ce484222325ull;
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < bytes; ++i) {
-    hash ^= p[i];
-    hash *= 0x100000001b3ull;
-  }
-  return hash;
-}
+using testing_hash::fnv1a_bytes;
 
 // Pins kmeans' exact output on the shapes Calibre runs it at: a 32x64
 // per-batch embedding and a 500x64 local set, k = 10, plus a 32x64 input

@@ -10,6 +10,7 @@
 #include "data/augment.h"
 #include "data/partition.h"
 #include "data/synthetic.h"
+#include "test_hash.h"
 
 namespace calibre::data {
 namespace {
@@ -89,6 +90,44 @@ TEST(ViewOracle, ViewsVaryButPreserveClassLatent) {
   EXPECT_EQ(view1.cols(), 24);
   // Stochastic nuisance: the two views differ.
   EXPECT_FALSE(tensor::allclose(view1, view2, 1e-3f));
+}
+
+// Pins render_view's output bits on the cifar10 preset's oracle at 32 rows
+// (one Calibre batch) and 33 (an odd count of latent and noise draws, so the
+// Box–Muller cache is live across the two draw blocks), plus the next draw
+// afterwards, which pins how far the view advances the generator. Recorded
+// from the implementation that drew one normal() per element and added the
+// bias through tensor::add. The bits include the GEMM's, which are those of
+// the FMA kernel clones, so the test skips on CPUs without them.
+TEST(ViewOracle, RenderBitsPinned) {
+  if (!__builtin_cpu_supports("avx2") || !__builtin_cpu_supports("fma")) {
+    GTEST_SKIP() << "pinned bits are the FMA kernel clones'";
+  }
+  SyntheticConfig config = cifar10_like();
+  config.train_samples = 40;  // the oracle is drawn before any split
+  config.test_samples = 0;
+  const SyntheticDataset synth = make_synthetic(config);
+  const struct {
+    int rows;
+    std::uint64_t digest;
+    std::uint64_t next_draw;  // gen.uniform_index(1000000) afterwards
+  } cases[] = {{32, 0x20d5966e5b00222bull, 809080},
+               {33, 0x5b99fd1b6aac46ccull, 157651}};
+  for (const auto& c : cases) {
+    std::vector<int> rows(static_cast<std::size_t>(c.rows));
+    for (int i = 0; i < c.rows; ++i) rows[static_cast<std::size_t>(i)] = i;
+    rng::Generator gen(31);
+    const tensor::Tensor view = synth.oracle.render_view(
+        tensor::take_rows(synth.train.latents, rows), gen);
+    ASSERT_EQ(view.rows(), c.rows);
+    ASSERT_EQ(view.cols(), config.input_dim);
+    EXPECT_EQ(testing_hash::fnv1a_bytes(
+                  view.data(),
+                  static_cast<std::size_t>(view.size()) * sizeof(float)),
+              c.digest)
+        << c.rows << " rows";
+    EXPECT_EQ(gen.uniform_index(1000000), c.next_draw) << c.rows << " rows";
+  }
 }
 
 TEST(ViewOracle, SameSampleViewsCloserThanCrossClassViews) {

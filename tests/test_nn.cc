@@ -1,6 +1,7 @@
 // Tests for the NN layer: modules, networks, losses, optimizer, EMA and the
 // serializable model state.
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -208,6 +209,75 @@ TEST(Sgd, SkipsParametersWithoutGradients) {
   Sgd optimizer({p}, {0.1f, 0.0f, 0.0f});
   optimizer.step();
   EXPECT_FLOAT_EQ(p->value(0, 0), 2.0f);
+}
+
+// The update Sgd::step made as a gradient copy plus whole-tensor passes,
+// written with the Tensor ops it used: g = grad (+ wd·v), then buf·m + g,
+// then v + (−lr)·buf.
+void reference_sgd_step(const std::vector<ag::VarPtr>& params,
+                        std::vector<Tensor>& buffers, const SgdConfig& c) {
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    const ag::VarPtr& p = params[i];
+    if (p->grad.size() == 0) continue;
+    Tensor g = p->grad;
+    if (c.weight_decay != 0.0f) g.axpy_(c.weight_decay, p->value);
+    if (c.momentum != 0.0f) {
+      buffers[i].scale_(c.momentum);
+      buffers[i].add_(g);
+      p->value.axpy_(-c.learning_rate, buffers[i]);
+    } else {
+      p->value.axpy_(-c.learning_rate, g);
+    }
+  }
+}
+
+bool bitwise_equal(const Tensor& a, const Tensor& b) {
+  return a.same_shape(b) &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.size()) * sizeof(float)) == 0;
+}
+
+// The one-pass step must round exactly like the reference above, in every
+// momentum / weight-decay combination, over several steps (so the momentum
+// buffer carries state) on the 32,202-parameter encoder + head.
+TEST(Sgd, StepMatchesReferenceBitwise) {
+  for (const float momentum : {0.0f, 0.9f}) {
+    for (const float weight_decay : {0.0f, 1e-4f}) {
+      SCOPED_TRACE(::testing::Message() << "momentum " << momentum
+                                        << " weight decay " << weight_decay);
+      const SgdConfig config{0.05f, momentum, weight_decay};
+      auto gen = make_gen(17);
+      const MlpEncoder encoder(EncoderConfig{}, gen);
+      const LinearClassifier head(64, 10, gen);
+      std::vector<ag::VarPtr> params = encoder.parameters();
+      head.collect_parameters(params);
+      std::vector<ag::VarPtr> ref_params;
+      std::vector<Tensor> buffers;
+      std::int64_t total = 0;
+      for (const ag::VarPtr& p : params) {
+        ref_params.push_back(ag::parameter(p->value));
+        buffers.emplace_back(p->value.rows(), p->value.cols());
+        total += p->value.size();
+      }
+      ASSERT_EQ(total, 32202);
+      Sgd optimizer(params, config);
+      for (int step = 0; step < 5; ++step) {
+        for (std::size_t i = 0; i < params.size(); ++i) {
+          const Tensor g =
+              Tensor::randn(params[i]->value.rows(), params[i]->value.cols(),
+                            gen, 0.1f);
+          params[i]->grad = g;
+          ref_params[i]->grad = g;
+        }
+        optimizer.step();
+        reference_sgd_step(ref_params, buffers, config);
+        for (std::size_t i = 0; i < params.size(); ++i) {
+          ASSERT_TRUE(bitwise_equal(params[i]->value, ref_params[i]->value))
+              << "step " << step << " parameter " << i;
+        }
+      }
+    }
+  }
 }
 
 // --- EMA / copy ---------------------------------------------------------------------

@@ -1,14 +1,15 @@
 #!/usr/bin/env bash
 # Single CI entry point: tier-1 configure/build/test, then every sanitizer
-# lane (tsan/asan/ubsan) and both lint targets, with a summary table and a
-# nonzero exit if anything failed. This is the one command a CI job or a
-# reviewer runs:
+# lane (tsan/asan/ubsan), the native (-march=native) lane and both lint
+# targets, with a summary table and a nonzero exit if anything failed. This
+# is the one command a CI job or a reviewer runs:
 #
 #   tools/ci.sh [build-dir]      (default: ./build-ci)
 #
-# Each sanitizer lane is a nested configure+build+run driven by ctest (see
-# tests/CMakeLists.txt), so this script stays a thin sequencer. lint.tidy
-# reports SKIP when clang-tidy is absent; that counts as success here.
+# Each sanitizer or native lane is a nested configure+build+run driven by
+# ctest (see tests/CMakeLists.txt), so this script stays a thin sequencer.
+# lint.tidy reports SKIP when clang-tidy is absent; that counts as success
+# here.
 set -u
 
 SRC_ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -59,9 +60,9 @@ run_step "configure" cmake -S "$SRC_ROOT" -B "$BUILD_DIR" \
 if [ $overall -ne 0 ]; then
   echo "ci: configure/build failed; skipping test lanes"
 else
-  # Tier-1: everything except the nested sanitizer lanes and lint entries.
+  # Tier-1: everything except the nested lanes and lint entries.
   run_step "tier1.ctest" ctest --test-dir "$BUILD_DIR" --output-on-failure \
-    -j "$NPROC" -E '^(tsan|asan|ubsan|lint)\.'
+    -j "$NPROC" -E '^(tsan|asan|ubsan|native|lint)\.'
   # Scalability gate, surfaced as its own summary row: streaming rounds over
   # a virtual FedDataset must keep peak RSS flat as the population grows
   # (bench_scale exits nonzero on a superlinear blow-up).
@@ -93,7 +94,9 @@ else
   # hash and history digest but exits 0 when they moved, so this step fails
   # unless every workload's hash line ends in ": matches".
   run_step "bench.perfbench_recorded" perfbench_recorded
-  for lane in tsan asan ubsan; do
+  # native: the bit-pinning tests rebuilt with -O3 -march=native, the only
+  # build that lets GCC contract a*b + c into an FMA tree-wide.
+  for lane in tsan asan ubsan native; do
     run_step "lane.$lane" ctest --test-dir "$BUILD_DIR" \
       --output-on-failure -R "^$lane\."
   done
